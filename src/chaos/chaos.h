@@ -173,11 +173,11 @@ struct ShardKillOptions {
   sim::Time restart_at = 1500 * sim::kMillisecond;
   /// Extra drain time after the last session for probes to readmit.
   sim::Time settle = 15 * sim::kSecond;
-  /// Partition the simulation into this many islands (0 = legacy single
-  /// loop; 1 = sequential oracle for the parallel modes — see
+  /// Partition the simulation into this many islands (1 = the sequential
+  /// oracle for the parallel modes — see
   /// NVersionDeployment::Builder::islands). The report must be identical
   /// for every value of this knob.
-  size_t islands = 0;
+  size_t islands = 1;
 };
 
 struct ShardKillReport {

@@ -59,35 +59,14 @@ void Connection::send_shared(SharedBytes data) {
                                         std::memory_order_relaxed);
   }
   // FIFO per direction: never deliver earlier than a previous delivery.
+  // One event per send, on the peer's island: a cross-island send is one
+  // mailbox message and the barrier merge preserves send order, so the
+  // receiver sees the same on_data calls for every island layout.
   Time arrival = next_arrival(net_);
-  // Batch into the open delivery event iff appending cannot change what
-  // any observer sees: the batch hasn't fired, it arrives at the same
-  // instant, and — decisive — its event is still this island's most
-  // recently scheduled one, so no event's sequence number lies between the
-  // batch and the event this send would otherwise have created.
-  // Cross-island deliveries return id 0 from schedule_on and therefore
-  // never batch: each send is its own mailbox message, and the barrier
-  // merge preserves their order. Batching is disabled entirely once
-  // islands are configured — a same-island send pair would otherwise
-  // coalesce into one on_data while the identical pair across a cut
-  // arrives as two, making delivery granularity depend on island
-  // layout. Configured mode (any count, including 1) delivers one
-  // event per send everywhere; only the legacy no-knob path batches.
-  if (!sim_.islands_configured() &&
-      outbox_ && !outbox_->fired && outbox_event_ != 0 &&
-      outbox_arrival_ == arrival &&
-      sim_.last_scheduled_id() == outbox_event_) {
-    outbox_->chunks.push_back(std::move(data));
-    return;
-  }
-  auto batch = std::make_shared<OutBatch>();
-  batch->chunks.push_back(std::move(data));
-  outbox_ = batch;
-  outbox_arrival_ = arrival;
-  outbox_event_ = sim_.schedule_on(peer->island_, arrival, [peer, batch] {
-    batch->fired = true;
-    peer->deliver_batch(*batch);
-  });
+  sim_.schedule_on(peer->island_, arrival,
+                   [peer, data = std::move(data)]() mutable {
+                     peer->deliver(std::move(data));
+                   });
 }
 
 void Connection::close() {
@@ -99,39 +78,31 @@ void Connection::close() {
   sim_.schedule_on(peer->island_, arrival, [peer] { peer->deliver_close(); });
 }
 
-void Connection::abort() {
-  auto self = shared_from_this();
-  auto peer = peer_.lock();
+void Connection::break_now() {
   open_ = false;
   aborted_ = true;
   pending_.clear();
-  // Crash semantics: this half observes the break "now"; anything still
-  // in flight to it is lost (deliver() drops data once aborted_ is set —
-  // even a delivery already queued for this very tick, which would
-  // otherwise run before the deliver_close scheduled below).
+  // deliver() drops data once aborted_ is set — even a delivery already
+  // queued for this very tick, which would otherwise run before the
+  // deliver_close scheduled here.
+  auto self = shared_from_this();
   sim_.schedule_on(island_, sim_.now(), [self] { self->deliver_close(); });
+}
+
+void Connection::abort() {
+  auto peer = peer_.lock();
+  break_now();
   if (!peer) return;
-  if (sim_.islands_configured()) {
-    // Islands mode: the break propagates to the peer like a RST — one
-    // link latency later (after any data already on the wire, per the
-    // FIFO watermark). This keeps the notification outside the
-    // conservative window for cross-island pairs, and applies to
-    // same-island pairs too so islands=1 replays are byte-identical to
-    // any island count.
-    Time arrival = next_arrival(net_);
-    sim_.schedule_on(peer->island_, arrival, [peer] {
-      peer->open_ = false;
-      peer->aborted_ = true;
-      peer->pending_.clear();
-      peer->deliver_close();
-    });
-  } else {
-    // Legacy semantics: both halves see the break in the same tick.
+  // The break reaches the peer like a RST: one link latency later, after
+  // any data already on the wire (FIFO watermark). For a cross-island
+  // pair this keeps the notification outside the conservative window.
+  Time arrival = next_arrival(net_);
+  sim_.schedule_on(peer->island_, arrival, [peer] {
     peer->open_ = false;
     peer->aborted_ = true;
     peer->pending_.clear();
-    sim_.schedule(0, [peer] { peer->deliver_close(); });
-  }
+    peer->deliver_close();
+  });
 }
 
 void Connection::set_on_data(DataHandler h) {
@@ -150,14 +121,9 @@ void Connection::set_on_close(CloseHandler h) {
   }
 }
 
-void Connection::deliver_batch(OutBatch& batch) {
+void Connection::deliver(SharedBytes data) {
   if (close_delivered_ || aborted_) return;
-  if (pending_.empty()) {
-    pending_.swap(batch.chunks);
-  } else {
-    for (auto& c : batch.chunks) pending_.push_back(std::move(c));
-    batch.chunks.clear();
-  }
+  pending_.push_back(std::move(data));
   flush_pending();
 }
 
@@ -175,7 +141,8 @@ void Connection::flush_pending() {
   FlowScope flow_scope(this);
   if (!pending_.empty() && on_data_) {
     // Handler may re-enter (e.g. respond synchronously); keep state sane by
-    // swapping out first.
+    // swapping out first. Several chunks only queue up while no on_data
+    // handler is installed; they are handed over joined.
     std::vector<SharedBytes> chunks;
     chunks.swap(pending_);
     if (chunks.size() == 1) {
@@ -241,7 +208,8 @@ std::vector<std::string> Network::listener_nodes() const {
 
 void Network::set_island_router(const std::string& address,
                                 IslandRouter router) {
-  island_routers_[address] = std::move(router);
+  if (router) island_routers_[address] = std::move(router);
+  else island_routers_.erase(address);
 }
 
 ConnPtr Network::connect(const std::string& address, ConnectMeta meta) {
@@ -305,7 +273,7 @@ ConnPtr Network::connect(const std::string& address, ConnectMeta meta) {
     }
     ++pending_accepts_[address];
   }
-  // Per-island id spaces (no cross-thread coordination; dense legacy ids
+  // Per-island id spaces (no cross-thread coordination; dense ids 1,2,3,...
   // when only island 0 exists).
   uint64_t id = (static_cast<uint64_t>(client_island) << 48) |
                 ++next_conn_local_[client_island];
@@ -381,8 +349,17 @@ std::string Network::node_of(const std::string& address_or_name) {
 
 void Network::sever_matching(
     const std::function<bool(const Connection&, const Connection&)>& pred) {
-  // Collect first: abort() schedules events and conn handlers may mutate
-  // the registry re-entrantly via new connects.
+  // A severed node is gone *now*: both halves break at this instant, so a
+  // request already in flight toward a service its owner is about to
+  // destroy (Orchestrator::stop/crash) is dropped instead of delivered
+  // into freed handlers. Unlike Connection::abort(), the peer is not told
+  // one latency later. Scheduling the peer's close at `now` on its own
+  // island is only safe outside a parallel window: callers sever from a
+  // global event (FaultPlan, chaos) or from sequential code, where every
+  // island is parked at the same instant.
+  //
+  // Collect first: break_now() schedules events and conn handlers may
+  // mutate the registry re-entrantly via new connects.
   std::vector<ConnPtr> doomed;
   std::lock_guard<std::mutex> lock(mu_);
   registry_.erase(
@@ -396,7 +373,11 @@ void Network::sever_matching(
                        return false;
                      }),
       registry_.end());
-  for (auto& c : doomed) c->abort();
+  for (auto& c : doomed) {
+    auto peer = c->peer_.lock();
+    c->break_now();
+    if (peer) peer->break_now();
+  }
 }
 
 void Network::crash_node(const std::string& node) {

@@ -17,10 +17,9 @@
 // ref-counted SharedBytes. send(SharedBytes) puts a buffer on the wire
 // without copying it — the same buffer can be in flight on many
 // connections at once (the proxies' N-way fan-out). send(ByteView) is the
-// compatibility path that materialises one copy on entry. Same-tick sends
-// on one connection are batched into a single delivery event when doing so
-// provably cannot reorder anything (no other event was scheduled in
-// between), so a burst of writes costs one event, not one per write.
+// compatibility path that materialises one copy on entry. Every send is
+// its own delivery event on the peer's island, so delivery granularity
+// never depends on how the simulation is split into islands.
 //
 // Fault injection: the network additionally models node crashes, refused
 // addresses, per-node latency spikes, one-sided egress stalls, and
@@ -29,6 +28,7 @@
 // listener "pg-1:5432" — or a connecting container's ConnectMeta::source.
 // Every fault is plain deterministic state on the Network, so seeded runs
 // replay byte-identically with faults active.
+//
 // Islands (DESIGN.md "Parallel simulation"): every connection half lives
 // on the island of the node it runs on (client half: the dialing
 // container's island at connect() time; server half: the listener node's
@@ -36,8 +36,8 @@
 // targeting the peer half are scheduled on the *peer's* island, so a
 // cross-island send travels through the executor's mailbox and arrives
 // at least one link latency later — which is exactly the conservative
-// lookahead the barrier relies on. On a simulator without islands all of
-// this degenerates to the historical single-loop behaviour.
+// lookahead the barrier relies on. With one island every half lives on
+// island 0 and the same rules apply unchanged.
 #pragma once
 
 #include <algorithm>
@@ -159,28 +159,24 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// re-deriving it at accept time.
   uint32_t route_hint() const { return route_hint_; }
 
-  /// Severs the connection abruptly (crash semantics): both halves see
-  /// on_close "now"; bytes still in flight are lost. Unlike close(), the
-  /// peer is NOT guaranteed to receive previously sent data first.
+  /// Severs the connection abruptly, like a RST: this half sees on_close
+  /// now and loses everything buffered or in flight toward it; the break
+  /// reaches the peer one link latency later, behind the bytes this half
+  /// already sent.
   void abort();
 
  private:
   friend class Network;
 
-  // Same-tick sends accumulate here and ride one delivery event. `fired`
-  // flips when the event runs, so a later send in the same tick (after the
-  // event) opens a fresh batch instead of appending to a dead one.
-  struct OutBatch {
-    std::vector<SharedBytes> chunks;
-    bool fired = false;
-  };
-
   Connection(Simulator& sim, uint64_t id, Time latency, ConnectMeta meta,
              std::string dialed_address, bool is_client_half);
 
   void send_shared(SharedBytes data);
-  void deliver_batch(OutBatch& batch);  // runs on the *receiving* half
-  void deliver_close();                 // runs on the *receiving* half
+  void deliver(SharedBytes data);  // runs on the *receiving* half
+  void deliver_close();            // runs on the *receiving* half
+  /// Crash semantics on this half alone: drops buffered and in-flight
+  /// bytes and fires on_close in a fresh event at the current instant.
+  void break_now();
   void flush_pending();
   Time next_arrival(Network* net);  // FIFO watermark + fault adjustments
 
@@ -201,9 +197,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   bool close_pending_ = false;
   Time last_arrival_ = 0;  // per-direction FIFO watermark (arrivals at peer)
   std::vector<SharedBytes> pending_;  // received, not yet handed to on_data
-  std::shared_ptr<OutBatch> outbox_;  // open batch on the out direction
-  Time outbox_arrival_ = -1;
-  uint64_t outbox_event_ = 0;  // the batch's delivery event id
   // Per-site invocation counters for execution-index derivation.
   std::map<uint64_t, uint32_t> child_seq_;
   DataHandler on_data_;
@@ -329,7 +322,7 @@ class Network {
   /// network) is recorded on the connection for the accepting service —
   /// the frontier stores the shard index so routing is decided exactly
   /// once, at dial time. Must be deterministic given the meta. Setup-time
-  /// only.
+  /// only; an empty router removes the address's router.
   using IslandRouter =
       std::function<IslandId(const ConnectMeta& meta, uint32_t& route_hint)>;
   void set_island_router(const std::string& address, IslandRouter router);
@@ -350,7 +343,9 @@ class Network {
 
   /// Crashes / restarts a node. While down, connects to or from the node
   /// are refused; crash() additionally severs every live connection
-  /// touching the node (both halves get on_close, in-flight bytes lost).
+  /// touching the node (both halves get on_close at once, in-flight bytes
+  /// lost). Like every sever, run it from a global event or from
+  /// sequential code (see sever_matching).
   /// Listener registrations survive — a restarted node serves again
   /// immediately, modelling a container restarting on the same address.
   void crash_node(const std::string& node);

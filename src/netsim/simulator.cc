@@ -85,11 +85,9 @@ uint64_t Simulator::push_event(Island& isl, Time t, EventFn fn) {
   heap_push(isl, HeapEntry{t, isl.next_seq++, slot, s.gen});
   ++isl.live;
   // slot+1 keeps ids nonzero so callers can use 0 as "no event".
-  uint64_t id = (static_cast<uint64_t>(isl.id) << (kIdGenBits + kIdSlotBits)) |
-                (static_cast<uint64_t>(s.gen & kIdGenMask) << kIdSlotBits) |
-                ((slot + 1ull) & kIdSlotMask);
-  isl.last_id = id;
-  return id;
+  return (static_cast<uint64_t>(isl.id) << (kIdGenBits + kIdSlotBits)) |
+         (static_cast<uint64_t>(s.gen & kIdGenMask) << kIdSlotBits) |
+         ((slot + 1ull) & kIdSlotMask);
 }
 
 uint64_t Simulator::schedule_at(Time t, EventFn fn) {
@@ -122,8 +120,7 @@ uint64_t Simulator::schedule_on(IslandId island, Time t, EventFn fn) {
 void Simulator::schedule_global_at(Time t, EventFn fn) {
   assert(!in_parallel_phase_ && "global events must not be scheduled from inside a parallel window");
   if (!exec_) {
-    // No executor: globals are ordinary island-0 events (legacy loop and
-    // the islands=1 oracle both take this path).
+    // No executor (one island): globals are ordinary island-0 events.
     IslandScope scope(0);
     schedule_at(t, std::move(fn));
     return;
@@ -243,7 +240,6 @@ void Simulator::configure_islands(size_t count, const ParallelOptions& opts) {
   assert(count >= 1 && count <= kMaxIslands);
   if (count > kMaxIslands) count = kMaxIslands;
   if (count == 0) count = 1;
-  islands_configured_ = true;
   Time start = islands_[0]->now;
   while (islands_.size() < count) {
     auto isl = std::make_unique<Island>();

@@ -19,9 +19,8 @@
 // the islands on worker threads under conservative time-window barriers,
 // exchanging cross-island events through per-island outboxes that are
 // merged in deterministic (time, source island, source order) order at
-// each barrier. A simulator that never configures islands behaves exactly
-// as the historical single-threaded loop — island 0 is the only island
-// and every legacy entry point operates on it.
+// each barrier. A simulator that never adds islands runs everything on
+// island 0, sequentially, under the same semantics as any island count.
 #pragma once
 
 #include <cstdint>
@@ -114,29 +113,18 @@ class Simulator {
   /// never count). Includes global events; excludes in-window outboxes.
   size_t pending_events() const;
 
-  /// Id returned by the most recent schedule()/schedule_at() call on the
-  /// current island, 0 if none yet. Lets the network batch same-tick
-  /// deliveries only when no other event was interleaved (preserving
-  /// island-local FIFO order exactly).
-  uint64_t last_scheduled_id() const { return cur().last_id; }
-
   // ---- islands ----
 
-  /// Partitions the loop into `count` islands (1..kMaxIslands). Island 0
-  /// keeps everything scheduled so far; new islands start empty at the
-  /// current time. With count >= 2 a ParallelExecutor is created and
-  /// step()/run_until_idle()/run_until() drive conservative windows
-  /// instead of the legacy loop. Call once, before running; `opts`
-  /// carries lookahead and worker-thread knobs (see netsim/parallel.h).
-  /// With count == 1 no executor is created — the loop stays the legacy
-  /// single-threaded one — but islands_configured() still flips, which
-  /// upper layers use to enable island-consistent semantics (so the
-  /// 1-island run is a valid byte-identical oracle for N-island runs).
+  /// Grows the loop to `count` islands (1..kMaxIslands). Island 0 keeps
+  /// everything scheduled so far; new islands start empty at the current
+  /// time. With count >= 2 a ParallelExecutor is created and
+  /// step()/run_until_idle()/run_until() drive conservative windows over
+  /// all islands. Call before running; `opts` carries lookahead and
+  /// worker-thread knobs (see netsim/parallel.h). count == 1 changes
+  /// nothing: every simulator already has island 0, and a 1-island run
+  /// is the byte-identical sequential oracle for N-island runs.
   void configure_islands(size_t count, const ParallelOptions& opts);
   void configure_islands(size_t count);
-
-  /// True once configure_islands() ran (any count).
-  bool islands_configured() const { return islands_configured_; }
 
   /// Number of islands (1 when never configured).
   size_t island_count() const { return islands_.size(); }
@@ -183,7 +171,6 @@ class Simulator {
     Time now = 0;
     uint64_t next_seq = 0;
     uint64_t executed = 0;
-    uint64_t last_id = 0;
     uint64_t window_events = 0;  // events run in the current window
     size_t live = 0;
     std::vector<HeapEntry> heap;  // binary min-heap by (time, seq)
@@ -236,7 +223,6 @@ class Simulator {
   std::vector<std::unique_ptr<Island>> islands_;
   std::vector<GlobalEvent> global_;  // min-heap by (time, seq)
   uint64_t global_seq_ = 0;
-  bool islands_configured_ = false;
   bool in_parallel_phase_ = false;  // set by the executor around windows
   std::unique_ptr<ParallelExecutor> exec_;
 };

@@ -161,18 +161,12 @@ std::string Tracer::export_chrome() const {
   order.reserve(span_count());
   for (const Lane& l : lanes_)
     for (const Span& s : l.spans) order.push_back(&s);
-  if (!island_export_)
-    // Legacy path: lane-concatenation order IS creation order for every
-    // single-island run, and lane-0 ids carry no lane bits, so the bytes
-    // match the pre-island exports exactly.
-    return export_events(order, nullptr, /*tid_by_island=*/false);
-
-  // Canonical island mode: (trace, start) ordering with the lane-concat
-  // order as the stable tiebreak. Within one lane the tiebreak is the
-  // lane-local creation order (island-count-invariant); across lanes a
-  // (trace, start) tie would need two same-trace spans at the same
-  // nanosecond on different islands, which nonzero cross-island latency
-  // rules out. Dense renumbering then strips the lane bits from the ids.
+  // Canonical order: (trace, start) with the lane-concat order as the
+  // stable tiebreak. Within one lane the tiebreak is the lane-local
+  // creation order (island-count-invariant); across lanes a (trace,
+  // start) tie would need two same-trace spans at the same nanosecond on
+  // different islands, which nonzero cross-island latency rules out.
+  // Dense renumbering then strips the lane bits from the ids.
   std::stable_sort(order.begin(), order.end(),
                    [](const Span* a, const Span* b) {
                      if (a->trace != b->trace) return a->trace < b->trace;

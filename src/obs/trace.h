@@ -21,13 +21,12 @@
 //     per-owner IdStreams (`id_stream("front-s3")`), whose draw order
 //     depends only on that component's own event order — never on how
 //     components interleave globally.
-//   * export_chrome() in island mode canonicalises: spans sort by
-//     (trace, start, lane, lane order) and are densely renumbered, so
-//     the bytes do not depend on which lane a span was recorded in.
-//     (The only escape is two spans of one trace at the same nanosecond
-//     in different lanes — causally impossible for a request that hops
-//     islands through nonzero-latency links.)
-// A tracer that never enters island mode behaves exactly as before.
+//   * export_chrome() canonicalises: spans sort by (trace, start, lane,
+//     lane order) and are densely renumbered, so the bytes do not depend
+//     on which lane a span was recorded in. (The only escape is two
+//     spans of one trace at the same nanosecond in different lanes —
+//     causally impossible for a request that hops islands through
+//     nonzero-latency links.)
 #pragma once
 
 #include <array>
@@ -126,17 +125,12 @@ class Tracer {
   size_t open_spans() const;
   size_t span_count() const;
 
-  /// Opts the export into island-canonical mode. Deployments built with
-  /// the islands() knob set this for ANY island count — including 1 — so
-  /// the 1-island oracle export is byte-identical to the N-island one.
-  void set_island_export(bool on) { island_export_ = on; }
-
   /// Chrome trace_event JSON ("X" complete events, ts/dur in
   /// microseconds); load via chrome://tracing or https://ui.perfetto.dev.
   /// Open spans are exported as zero-length with an "unclosed" tag so
-  /// they stay visible. Output is byte-identical for identical runs; in
-  /// island mode it is additionally identical across island counts
-  /// (canonical ordering + dense renumbering, see file comment).
+  /// they stay visible. Output is byte-identical for identical runs and
+  /// across island counts (canonical ordering + dense renumbering, see
+  /// file comment).
   std::string export_chrome() const;
 
   /// Diagnostic export with one Chrome row per island (tid = island id),
@@ -165,7 +159,6 @@ class Tracer {
   uint64_t seed_;
   Rng rng_;
   std::array<Lane, kMaxIslands> lanes_;
-  bool island_export_ = false;
   std::mutex stream_mu_;  // guards id_streams_ creation only
   std::map<std::string, IdStream> id_streams_;
 };

@@ -3,8 +3,7 @@
 namespace rddr::core {
 
 NVersionDeployment::NVersionDeployment(sim::Network& net,
-                                       sim::Host& proxy_host, Options options)
-    : bus_(net.simulator()) {
+                                       sim::Host& proxy_host, Options options) {
   if (options.on_record) bus_.subscribe_records(options.on_record);
   // Outgoing proxies first: instances may dial the backend as soon as the
   // incoming proxy forwards them traffic.

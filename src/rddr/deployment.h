@@ -72,8 +72,7 @@ class NVersionDeployment {
     Builder& path_quarantine(uint32_t threshold);
     /// Deployment-wide divergence hook: subscribed to the shared bus's
     /// record stream (DivergenceBus::subscribe_records), firing once per
-    /// record from any proxy of the deployment. Replaces the deprecated
-    /// per-proxy ProxyOptions::on_divergence field.
+    /// record from any proxy of the deployment.
     Builder& on_divergence(std::function<void(const DivergenceRecord&)> cb);
     /// Batched DiffEngine knobs (SIMD kernel selection, arena sizing),
     /// applied to every proxy and frontier shard in the deployment.
@@ -119,11 +118,10 @@ class NVersionDeployment {
     /// pins each shard's column — host, proxies, instance nodes, suffixed
     /// backend listeners — to one island (island 0 keeps the public
     /// listener, the workload driver and anything unpinned; shards spread
-    /// over islands 1..n-1, or all stay on 0 when n == 1). n == 1 is the
-    /// sequential oracle: it flips every islands-mode code path on without
-    /// creating worker threads, so its outputs must be byte-identical to
-    /// any n > 1. 0 (default) leaves the legacy single-loop behaviour
-    /// untouched. Determinism across island counts requires the shard
+    /// over islands 1..n-1, or all stay on 0 when n == 1). n == 1 (the
+    /// default) is the sequential oracle: the same code paths without
+    /// worker threads, so its outputs must be byte-identical to any
+    /// n > 1. Determinism across island counts requires the shard
     /// columns to be disjoint: per-shard pools (shard_versions) qualify; a
     /// pool or backend shared by two shards may see same-tick deliveries
     /// from different islands whose merge order is island-dependent.
@@ -155,7 +153,7 @@ class NVersionDeployment {
     std::function<void(const DivergenceRecord&)> on_record_;
     std::vector<std::vector<std::string>> shard_versions_;
     std::function<void(sim::FaultPlan&)> faults_;
-    size_t islands_ = 0;  // 0 = legacy single event loop
+    size_t islands_ = 1;
   };
 
   /// All proxies run on `proxy_host` and share one DivergenceBus.

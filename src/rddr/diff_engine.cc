@@ -556,4 +556,11 @@ Bytes DiffEngine::forward_downstream(const ProtocolPlugin& plugin,
   return units[0].data;
 }
 
+DiffOutcome ProtocolPlugin::compare(const std::vector<Unit>& units,
+                                    const CompareContext& ctx) const {
+  thread_local DiffEngine engine;
+  BatchVerdict v = engine.compare(*this, units, ctx, VoteMode::kStrict);
+  return {!v.agreed, std::move(v.reason)};
+}
+
 }  // namespace rddr::core

@@ -89,8 +89,6 @@ class DivergenceBus : public AttributionSink {
   using Listener = std::function<void(const DivergenceEvent&)>;
   using RecordListener = std::function<void(const DivergenceRecord&)>;
 
-  explicit DivergenceBus(sim::Simulator& sim) : sim_(sim) {}
-
   /// Subscribes to the intervention event channel (cross-proxy aborts).
   void subscribe(Listener l) { listeners_.push_back(std::move(l)); }
 
@@ -123,18 +121,6 @@ class DivergenceBus : public AttributionSink {
     }
   }
 
-  /// Pre-attribution entry point: a bare (proxy, reason) intervention.
-  [[deprecated(
-      "report a DivergenceRecord (with verdict/index) instead")]] void
-  report(std::string proxy, std::string reason) {
-    DivergenceRecord rec;
-    rec.time = sim_.now();
-    rec.proxy = std::move(proxy);
-    rec.reason = std::move(reason);
-    rec.verdict = "intervention";
-    report(rec);
-  }
-
   /// Intervention events (the cross-proxy abort channel). count() is the
   /// intervention count — outvote records don't appear here.
   const std::vector<DivergenceEvent>& events() const { return events_; }
@@ -157,7 +143,6 @@ class DivergenceBus : public AttributionSink {
   }
 
  private:
-  sim::Simulator& sim_;
   std::vector<Listener> listeners_;
   std::vector<RecordListener> record_listeners_;
   std::vector<DivergenceEvent> events_;

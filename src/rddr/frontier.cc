@@ -110,24 +110,22 @@ Frontier::Frontier(sim::Network& net, std::vector<sim::Host*> shard_hosts,
   }
   net_.listen(opts_.listen_address,
               [this](sim::ConnPtr c) { on_accept(std::move(c)); });
-  if (!opts_.shard_islands.empty()) {
-    // Islands mode: decide the shard at dial time so the server half of
-    // the connection — and with it on_accept, the admission queue, and
-    // the handoff — live on the shard's island. on_accept trusts the
-    // recorded hint, so the decision is made exactly once.
-    net_.set_island_router(
-        opts_.listen_address,
-        [this](const sim::ConnectMeta& meta, uint32_t& hint) -> IslandId {
-          size_t k = route_for_key(meta.source.empty() ? "anon"
-                                                       : meta.source);
-          hint = static_cast<uint32_t>(k);
-          return k < opts_.shard_islands.size() ? opts_.shard_islands[k] : 0;
-        });
-  }
+  // Decide the shard at dial time so the server half of the connection —
+  // and with it on_accept, the admission queue, and the handoff — lives
+  // on the shard's island. on_accept trusts the recorded hint, so the
+  // decision is made exactly once.
+  net_.set_island_router(
+      opts_.listen_address,
+      [this](const sim::ConnectMeta& meta, uint32_t& hint) -> IslandId {
+        size_t k = route_of(meta.source.empty() ? "anon" : meta.source);
+        hint = static_cast<uint32_t>(k);
+        return shard_island(k);
+      });
 }
 
 Frontier::~Frontier() {
   net_.unlisten(opts_.listen_address);
+  net_.set_island_router(opts_.listen_address, nullptr);
   net_.set_accept_queue_depth(opts_.listen_address, 0);
   for (auto& st : shard_state_) {
     if (st.token_wake_event) net_.simulator().cancel(st.token_wake_event);
@@ -138,14 +136,10 @@ Frontier::~Frontier() {
   }
 }
 
-size_t Frontier::route_for_key(const std::string& key) const {
+size_t Frontier::route_of(const std::string& key) const {
   for (size_t k = 0; k < shards_.size(); ++k)
     router_.set_shard_enabled(k, shard_available(k));
   return router_.route(key);
-}
-
-size_t Frontier::route_of(const std::string& key) const {
-  return route_for_key(key);
 }
 
 void Frontier::set_shard_enabled(size_t k, bool enabled) {
@@ -171,17 +165,11 @@ uint64_t Frontier::divergences() const {
 
 void Frontier::on_accept(sim::ConnPtr conn) {
   offered_->inc();
-  size_t k;
-  if (conn->route_hint() != UINT32_MAX) {
-    // Islands mode: the dial-time router already picked the shard (and
-    // this callback is running on that shard's island) — re-deciding here
-    // could disagree with where the connection landed.
-    k = conn->route_hint();
-  } else {
-    const std::string& src = conn->meta().source;
-    std::string key = src.empty() ? "conn-" + std::to_string(conn->id()) : src;
-    k = route_of(key);
-  }
+  // The dial-time router already picked the shard (and this callback is
+  // running on that shard's island) — re-deciding here could disagree
+  // with where the connection landed. No shard available at dial time
+  // leaves an out-of-range hint, shed below as unroutable.
+  const size_t k = conn->route_hint();
   Waiting w;
   w.conn = std::move(conn);
   w.enqueued = net_.simulator().now();
@@ -360,17 +348,12 @@ std::unique_ptr<Frontier> NVersionDeployment::Builder::build_frontier(
   fo.tracer = incoming_.tracer;
   size_t S = shard_versions_.empty() ? std::max<size_t>(1, incoming_.shards)
                                      : shard_versions_.size();
-  if (islands_ > 0) {
-    // Lookahead tracks the network's minimum link latency, recomputed at
-    // every barrier so runtime latency faults shrink (but never zero) the
-    // window.
-    sim::ParallelOptions popts;
-    popts.lookahead_provider = [&net] { return net.min_link_latency(); };
-    net.simulator().configure_islands(islands_, popts);
-    // Canonical trace export for ANY configured count (1 included), so
-    // the 1-island oracle emits the same bytes as the parallel runs.
-    if (fo.tracer) fo.tracer->set_island_export(true);
-  }
+  // Lookahead tracks the network's minimum link latency, recomputed at
+  // every barrier so runtime latency faults shrink (but never zero) the
+  // window.
+  sim::ParallelOptions popts;
+  popts.lookahead_provider = [&net] { return net.min_link_latency(); };
+  net.simulator().configure_islands(islands_, popts);
   for (size_t k = 0; k < S; ++k) {
     Builder per = *this;
     per.incoming_.name = incoming_.name + "-s" + std::to_string(k);
@@ -382,21 +365,18 @@ std::unique_ptr<Frontier> NVersionDeployment::Builder::build_frontier(
     // name (shared-pool deployments usually have no backend() at all).
     for (auto& b : per.backends_)
       b.cfg.listen_address = shard_suffixed(b.cfg.listen_address, k);
-    if (islands_ > 0) {
-      // Shards sharing a host share its island (the host's completion
-      // events run there); island 0 is reserved for the public listener
-      // and the driver, so shards spread over 1..islands-1.
-      const size_t h = shard_hosts.empty() ? 0 : k % shard_hosts.size();
-      const IslandId isl =
-          islands_ == 1 ? 0
-                        : static_cast<IslandId>(1 + h % (islands_ - 1));
-      fo.shard_islands.push_back(isl);
-      if (h < shard_hosts.size()) shard_hosts[h]->pin_island(isl);
-      for (const auto& a : per.incoming_.instance_addresses)
-        net.set_node_island(sim::Network::node_of(a), isl);
-      for (const auto& b : per.backends_)
-        net.set_node_island(sim::Network::node_of(b.cfg.listen_address), isl);
-    }
+    // Shards sharing a host share its island (the host's completion
+    // events run there); island 0 is reserved for the public listener and
+    // the workload's clients, so shards spread over 1..islands-1.
+    const size_t h = shard_hosts.empty() ? 0 : k % shard_hosts.size();
+    const IslandId isl =
+        islands_ == 1 ? 0 : static_cast<IslandId>(1 + h % (islands_ - 1));
+    fo.shard_islands.push_back(isl);
+    if (h < shard_hosts.size()) shard_hosts[h]->pin_island(isl);
+    for (const auto& a : per.incoming_.instance_addresses)
+      net.set_node_island(sim::Network::node_of(a), isl);
+    for (const auto& b : per.backends_)
+      net.set_node_island(sim::Network::node_of(b.cfg.listen_address), isl);
     fo.shards.push_back(per.options());
   }
   return std::make_unique<Frontier>(net, shard_hosts, std::move(fo));

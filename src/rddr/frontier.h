@@ -103,13 +103,14 @@ class Frontier {
     /// Observability sinks (optional, not owned).
     obs::MetricsRegistry* metrics = nullptr;
     obs::Tracer* tracer = nullptr;
-    /// Non-empty (one entry per shard) = islands mode: the frontier
-    /// installs a dial-time island router on `listen_address` that picks
-    /// the shard from ConnectMeta::source and lands the server half of
-    /// the connection on that shard's island; on_accept then trusts the
-    /// recorded route hint, so every shard's admission queue, tokens and
-    /// handoff run on the shard's own island. Filled by
-    /// Builder::islands(); see that knob for the determinism contract.
+    /// Island of each shard's column (one entry per shard; missing
+    /// entries mean island 0). The frontier installs a dial-time island
+    /// router on `listen_address` that picks the shard from
+    /// ConnectMeta::source and lands the server half of the connection on
+    /// that shard's island; on_accept then trusts the recorded route
+    /// hint, so every shard's admission queue, tokens and handoff run on
+    /// the shard's own island. Filled by Builder::islands(); see that
+    /// knob for the determinism contract.
     std::vector<IslandId> shard_islands;
   };
 
@@ -124,15 +125,17 @@ class Frontier {
   NVersionDeployment& shard(size_t k) { return *shards_.at(k); }
   const NVersionDeployment& shard(size_t k) const { return *shards_.at(k); }
 
-  /// Island shard k's column is pinned to (0 outside islands mode).
+  /// Island shard k's column is pinned to (0 with one island).
   /// Observers that sample a shard's live state mid-run (health, session
   /// counters) must schedule onto this island — a cross-island read is
   /// tear-free but sees a window-dependent snapshot.
   IslandId shard_island(size_t k) const {
-    return opts_.shard_islands.empty() ? 0 : opts_.shard_islands.at(k);
+    return k < opts_.shard_islands.size() ? opts_.shard_islands[k] : 0;
   }
 
-  /// Shard `key` would route to right now (tests / operators).
+  /// Shard `key` would route to right now (tests / operators); also the
+  /// dial-time island router's choice. Single dialing island assumed, so
+  /// the lazy ring sync stays unracy.
   size_t route_of(const std::string& key) const;
 
   /// Administratively (un)drains one shard: disabled shards receive no
@@ -179,10 +182,6 @@ class Frontier {
   };
 
   void on_accept(sim::ConnPtr conn);
-  /// Shard for a connect-time key; shared by route_of() and the island
-  /// router (single dialing island assumed in islands mode, so the lazy
-  /// ring sync stays unracy).
-  size_t route_for_key(const std::string& key) const;
   /// Consumes a token and admits, or returns false (bucket empty /
   /// backpressured shard).
   bool try_admit(size_t k);

@@ -76,7 +76,7 @@ IncomingProxy::IncomingProxy(sim::Network& net, sim::Host& host,
   if (!bus_) {
     // Bus-less construction keeps the one-sink invariant: the proxy owns a
     // private bus, so every divergence still flows through AttributionSink.
-    own_bus_ = std::make_unique<DivergenceBus>(net.simulator());
+    own_bus_ = std::make_unique<DivergenceBus>();
     bus_ = own_bus_.get();
   }
   if (config_.metrics) {
@@ -1005,12 +1005,6 @@ void IncomingProxy::record_divergence(const char* verdict_class,
   // notifies record subscribers and — for interventions — emits the
   // cross-proxy abort event.
   bus_->report(rec);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  // Legacy per-proxy hook, honoured until out-of-tree callers move to the
-  // bus record stream.
-  if (config_.on_divergence) config_.on_divergence(rec);
-#pragma GCC diagnostic pop
 }
 
 void IncomingProxy::intervene(const std::shared_ptr<Session>& s,

@@ -77,13 +77,6 @@ struct ProxyOptions {
   /// tick never completes a unit, so byte-level activity must not reset
   /// the clock. 0 (default) disables the timeout.
   sim::Time idle_timeout = 0;
-  /// Legacy per-proxy record hook. Superseded by the AttributionSink
-  /// path: every record now flows through the proxy's DivergenceBus —
-  /// subscribe with DivergenceBus::subscribe_records (or
-  /// NVersionDeployment::Builder::on_divergence, which does it for the
-  /// whole deployment). Still honoured when set; removed next release.
-  [[deprecated("subscribe to the DivergenceBus record stream instead")]]
-  std::function<void(const DivergenceRecord&)> on_divergence;
   /// Targeted path quarantine (incoming proxy): after this many
   /// interventions attributed to one call site (the leaf frame of the
   /// session's execution index), further sessions arriving *from that
@@ -113,19 +106,6 @@ struct ProxyOptions {
   /// Admission control / load shedding for the front tier (Frontier).
   /// The plain proxies ignore this field.
   AdmissionOptions admission;
-
-  // Explicitly-defaulted special members: the implicitly-defined ones
-  // would trip -Werror=deprecated-declarations on the legacy
-  // `on_divergence` member at every copy site.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ProxyOptions() = default;
-  ProxyOptions(const ProxyOptions&) = default;
-  ProxyOptions(ProxyOptions&&) = default;
-  ProxyOptions& operator=(const ProxyOptions&) = default;
-  ProxyOptions& operator=(ProxyOptions&&) = default;
-  ~ProxyOptions() = default;
-#pragma GCC diagnostic pop
 };
 
 /// Element-wise counter snapshot of one proxy (or, via

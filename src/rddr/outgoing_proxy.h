@@ -95,8 +95,8 @@ class OutgoingProxy {
   void on_window_expired(const std::shared_ptr<Group>& g);
   void complete_group(const std::shared_ptr<Group>& g);
   void pump(const std::shared_ptr<Group>& g);
-  /// On divergence: count, report the attributed record (bus + legacy
-  /// hook), tear down. `verdict`/`units` enrich the record when available.
+  /// On divergence: count, report the attributed record to the bus, tear
+  /// down. `verdict`/`units` enrich the record when available.
   void intervene(const std::shared_ptr<Group>& g, const std::string& reason,
                  const BatchVerdict* verdict = nullptr,
                  const std::vector<Unit>* units = nullptr);

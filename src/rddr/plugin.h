@@ -123,14 +123,14 @@ class ProtocolPlugin {
 
   virtual std::unique_ptr<StreamFramer> make_framer(Direction dir) const = 0;
 
-  /// Diffs the k-th unit from every instance (units.size() == N).
-  ///
-  /// Since the batched DiffEngine landed this is a compatibility shim:
-  /// the concrete plugins implement it as DiffEngine::compare() in strict
-  /// mode, so there is exactly one comparison implementation. Proxies no
-  /// longer call it on the hot path — they hold their own engine.
+  /// Diffs the k-th unit from every instance (units.size() == N): a
+  /// strict-mode DiffEngine::compare() over this plugin's canonical forms
+  /// (defined in diff_engine.cc), so there is exactly one comparison
+  /// implementation. Proxies do not call it on the hot path — they hold
+  /// their own engine with their configured knobs. Virtual so decorators
+  /// can wrap it.
   virtual DiffOutcome compare(const std::vector<Unit>& units,
-                              const CompareContext& ctx) const = 0;
+                              const CompareContext& ctx) const;
 
   /// Decomposes one unit into its canonical comparable form. Called by
   /// the DiffEngine exactly once per unit per batch (this is where the

@@ -136,29 +136,12 @@ ByteView pg_param_name(const Unit& u) {
   return nul == ByteView::npos ? payload : payload.substr(0, nul);
 }
 
-/// Compatibility shim behind ProtocolPlugin::compare(): the plugins
-/// delegate to a thread-local strict-mode DiffEngine so the batched
-/// engine is the single comparison implementation. Proxies do not go
-/// through here — they own their engine (with their configured knobs).
-DiffOutcome engine_compare(const ProtocolPlugin& plugin,
-                           const std::vector<Unit>& units,
-                           const CompareContext& ctx) {
-  thread_local DiffEngine engine;
-  BatchVerdict v = engine.compare(plugin, units, ctx, VoteMode::kStrict);
-  return {!v.agreed, std::move(v.reason)};
-}
-
 }  // namespace
 
 // ---------- TcpLinePlugin ----------
 
 std::unique_ptr<StreamFramer> TcpLinePlugin::make_framer(Direction) const {
   return std::make_unique<LineFramer>();
-}
-
-DiffOutcome TcpLinePlugin::compare(const std::vector<Unit>& units,
-                                   const CompareContext& ctx) const {
-  return engine_compare(*this, units, ctx);
 }
 
 void TcpLinePlugin::canonicalize(const Unit& unit, const CompareContext&,
@@ -242,11 +225,6 @@ std::vector<std::string> HttpPlugin::comparable_lines(
   lines.reserve(canon.lines.size());
   for (ByteView v : canon.lines) lines.emplace_back(v);
   return lines;
-}
-
-DiffOutcome HttpPlugin::compare(const std::vector<Unit>& units,
-                                const CompareContext& ctx) const {
-  return engine_compare(*this, units, ctx);
 }
 
 Bytes HttpPlugin::on_forward_downstream(const std::vector<Unit>& units,
@@ -359,11 +337,6 @@ std::unique_ptr<StreamFramer> PgPlugin::make_framer(Direction dir) const {
   return std::make_unique<PgFramer>(dir == Direction::kClientToServer);
 }
 
-DiffOutcome PgPlugin::compare(const std::vector<Unit>& units,
-                              const CompareContext& ctx) const {
-  return engine_compare(*this, units, ctx);
-}
-
 void PgPlugin::canonicalize(const Unit& unit, const CompareContext& ctx,
                             Arena& arena, CanonicalUnit& out) const {
   const KnownVariance* kv = ctx.variance;
@@ -439,11 +412,6 @@ bool PgPlugin::replayable(const Unit& unit) const {
 
 std::unique_ptr<StreamFramer> JsonLinesPlugin::make_framer(Direction) const {
   return std::make_unique<LineFramer>();
-}
-
-DiffOutcome JsonLinesPlugin::compare(const std::vector<Unit>& units,
-                                     const CompareContext& ctx) const {
-  return engine_compare(*this, units, ctx);
 }
 
 void JsonLinesPlugin::canonicalize(const Unit& unit, const CompareContext&,

@@ -77,7 +77,6 @@ Topology::Topology(sim::Simulator& sim, sim::Network& net,
 }
 
 void Topology::apply_islands() {
-  if (opts_.islands == 0) return;
   sim::ParallelOptions popts;
   sim::Network* net = &net_;
   popts.lookahead_provider = [net] { return net->min_link_latency(); };

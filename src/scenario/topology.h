@@ -65,12 +65,12 @@ struct TopologyOptions {
   /// 0 disables it — the fuzzer's self-test uses that to prove the
   /// no-hang invariant actually fires).
   sim::Time idle_timeout = 600 * sim::kMillisecond;
-  /// Partition the simulation into this many islands (0 = legacy single
-  /// loop). The service graph is one tightly coupled column (shared
-  /// hosts, same-tick fan-out joins), so it is pinned to one island and
-  /// the harness drives it from island 0 across the entry links; any
-  /// islands value >= 1 must produce an identical run.
-  size_t islands = 0;
+  /// Partition the simulation into this many islands. The service graph
+  /// is one tightly coupled column (shared hosts, same-tick fan-out
+  /// joins), so it is pinned to one island and the harness drives it from
+  /// island 0 across the entry links; every islands value must produce an
+  /// identical run.
+  size_t islands = 1;
 };
 
 class Topology {

@@ -179,7 +179,7 @@ ScenarioResult run_rest_scenario(const RestSpec& spec) {
   cfg.listen_address = "svc:80";
   cfg.instance_addresses = {"svc-0:80", "svc-1:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
-  DivergenceBus bus(bed.simulator);
+  DivergenceBus bus;
   IncomingProxy proxy(bed.net, bed.host, cfg, &bus);
 
   // Benign request passes and matches the library output byte-for-byte.
@@ -385,7 +385,7 @@ ScenarioResult run_cve_2017_7484() {
   cfg.instance_addresses = {"pg-0:5432", "pg-1:5432", "pg-2:5432"};
   cfg.plugin = std::make_shared<PgPlugin>();
   cfg.filter_pair = true;
-  DivergenceBus bus(bed.simulator);
+  DivergenceBus bus;
   IncomingProxy proxy(bed.net, bed.host, cfg, &bus);
 
   // Benign query (ORDER BY: the paper's row-order configuration note).
@@ -477,7 +477,7 @@ ScenarioResult run_cve_2017_7529() {
   cfg.instance_addresses = {"web-0:80", "web-1:80", "web-2:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
   cfg.filter_pair = true;  // not needed (deterministic), but deployed as-is
-  DivergenceBus bus(bed.simulator);
+  DivergenceBus bus;
   IncomingProxy proxy(bed.net, bed.host, cfg, &bus);
 
   // Benign: plain GET and a valid in-bounds range.
@@ -592,7 +592,7 @@ ScenarioResult run_cve_2019_10130() {
                             "gitlab-pg-2:5432"};
   cfg.plugin = std::make_shared<PgPlugin>();
   cfg.filter_pair = true;
-  DivergenceBus bus(bed.simulator);
+  DivergenceBus bus;
   IncomingProxy proxy(bed.net, bed.host, cfg, &bus);
 
   services::GitlabApp::Options gopts;
@@ -890,7 +890,7 @@ ScenarioResult run_aslr_poc() {
   cfg.listen_address = "echo:7";
   cfg.instance_addresses = {"echo-0:7", "echo-1:7"};
   cfg.plugin = std::make_shared<TcpLinePlugin>();
-  DivergenceBus bus(bed.simulator);
+  DivergenceBus bus;
   IncomingProxy proxy(bed.net, bed.host, cfg, &bus);
 
   auto benign = do_raw(bed, "echo:7", "hello rddr\n");
@@ -919,7 +919,7 @@ ScenarioResult run_aslr_poc() {
     services::EchoVulnServer f0(bed2.net, bed2.host, n0);
     services::EchoVulnServer f1(bed2.net, bed2.host, n1);
     IncomingProxy::Config c2 = cfg;
-    DivergenceBus bus2(bed2.simulator);
+    DivergenceBus bus2;
     IncomingProxy proxy2(bed2.net, bed2.host, c2, &bus2);
     do_raw(bed2, "echo:7", overflow);
     if (bus2.count() == 0)

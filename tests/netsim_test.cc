@@ -377,6 +377,35 @@ TEST_F(FaultNetTest, CrashLosesInFlightBytes) {
   EXPECT_EQ(got, "");
 }
 
+TEST_F(FaultNetTest, AbortReachesPeerOneLatencyLaterBehindSentBytes) {
+  // Unlike a sever (crash_node breaks both halves at once, see above),
+  // abort() breaks its own half now — dropping bytes in flight toward it —
+  // and reaches the peer one link latency later, behind the bytes it
+  // already sent.
+  std::vector<std::pair<std::string, Time>> events;
+  ConnPtr server_side;
+  net.listen("srv:1", [&](ConnPtr c) {
+    server_side = c;
+    c->set_on_data([&](ByteView d) {
+      events.emplace_back("data:" + Bytes(d), sim.now());
+    });
+    c->set_on_close([&] { events.emplace_back("server-close", sim.now()); });
+  });
+  auto conn = net.connect("srv:1", {.source = "cli"});
+  conn->set_on_close([&] { events.emplace_back("client-close", sim.now()); });
+  sim.run_until_idle();
+  const Time t0 = sim.now();
+  conn->send("sent-before-abort");
+  server_side->send("lost-toward-client");
+  conn->abort();
+  sim.run_until_idle();
+  const std::vector<std::pair<std::string, Time>> want = {
+      {"client-close", t0},
+      {"data:sent-before-abort", t0 + 10 * kMicrosecond},
+      {"server-close", t0 + 10 * kMicrosecond}};
+  EXPECT_EQ(events, want);
+}
+
 TEST_F(FaultNetTest, RefusedAddressBlocksOnlyThatAddress) {
   listen_echo("srv:1");
   listen_echo("srv:2");
@@ -525,13 +554,13 @@ TEST(SimulatorCancel, CancelFromInsideEventCancelsLaterSameTickEvent) {
   EXPECT_FALSE(second_ran);
 }
 
-TEST(Simulator, MoveOnlyCaptureAndLastScheduledId) {
+TEST(Simulator, MoveOnlyCapture) {
   Simulator sim;
   auto payload = std::make_unique<int>(41);
   int got = 0;
   // std::function could not hold this capture; EventFn must.
   uint64_t id = sim.schedule(5, [p = std::move(payload), &got] { got = *p + 1; });
-  EXPECT_EQ(sim.last_scheduled_id(), id);
+  EXPECT_NE(id, 0u);
   sim.run_until_idle();
   EXPECT_EQ(got, 42);
 }
@@ -584,49 +613,33 @@ TEST(NetworkSharedBytes, ByteViewSendCountsCopies) {
   EXPECT_EQ(net.payload_bytes_copied(), 5u);
 }
 
-TEST(NetworkSharedBytes, SameTickSendsBatchIntoOneDelivery) {
+TEST(NetworkSharedBytes, SameTickSendsDeliverOneByOneInSendOrder) {
+  // One delivery rule: every send is its own delivery event, whether or
+  // not anything else was scheduled in between. N same-tick sends give N
+  // on_data calls, in send order, all at the same virtual instant.
   Simulator sim;
   Network net(sim, 100);
-  std::vector<Bytes> chunks;
+  std::vector<std::pair<Bytes, Time>> got;
   ConnPtr server_side;
   net.listen("srv:1", [&](ConnPtr c) {
     server_side = c;
-    c->set_on_data([&](ByteView d) { chunks.push_back(Bytes(d)); });
+    c->set_on_data([&](ByteView d) { got.emplace_back(Bytes(d), sim.now()); });
   });
   auto conn = net.connect("srv:1", {.source = "cli"});
   sim.run_until_idle();
-  // Three sends in the same tick with nothing scheduled in between ride
-  // one delivery event; the receiver sees the concatenation at the same
-  // virtual instant it always did.
+  const Time sent_at = sim.now();
   conn->send("aa");
   conn->send("bb");
+  sim.schedule(100, [] {});  // an interleaved event changes nothing
   conn->send("cc");
+  conn->send("dd");
   sim.run_until_idle();
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0], "aabbcc");
-}
-
-TEST(NetworkSharedBytes, InterleavedScheduleBreaksBatch) {
-  Simulator sim;
-  Network net(sim, 100);
-  std::vector<Bytes> chunks;
-  ConnPtr server_side;
-  net.listen("srv:1", [&](ConnPtr c) {
-    server_side = c;
-    c->set_on_data([&](ByteView d) { chunks.push_back(Bytes(d)); });
-  });
-  auto conn = net.connect("srv:1", {.source = "cli"});
-  sim.run_until_idle();
-  conn->send("aa");
-  // An unrelated event scheduled between the sends could observe the gap:
-  // batching must not reorder across it, so the second send gets its own
-  // delivery.
-  sim.schedule(100, [] {});
-  conn->send("bb");
-  sim.run_until_idle();
-  ASSERT_EQ(chunks.size(), 2u);
-  EXPECT_EQ(chunks[0], "aa");
-  EXPECT_EQ(chunks[1], "bb");
+  ASSERT_EQ(got.size(), 4u);
+  const char* want[] = {"aa", "bb", "cc", "dd"};
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, want[i]) << "delivery " << i;
+    EXPECT_EQ(got[i].second, sent_at + 100) << "delivery " << i;
+  }
 }
 
 TEST(NetworkSharedBytes, CloseStillDeliversBatchedBytesFirst) {

@@ -198,7 +198,7 @@ DivergenceRecord make_record(const std::string& proxy,
 
 TEST(DivergenceBus, RecordsDedupPerCallsiteAndCountIsInterventions) {
   sim::Simulator simu;
-  DivergenceBus bus(simu);
+  DivergenceBus bus;
   AttributionSink& sink = bus;  // the one reporting surface
 
   sink.report(make_record("edge", "intervention", 0xaaa));
@@ -225,7 +225,7 @@ TEST(DivergenceBus, RecordsDedupPerCallsiteAndCountIsInterventions) {
 
 TEST(DivergenceBus, ReentrantSubscribeDuringDispatchIsSafe) {
   sim::Simulator simu;
-  DivergenceBus bus(simu);
+  DivergenceBus bus;
   int first_calls = 0, late_calls = 0, record_calls = 0, late_records = 0;
   // The first listener subscribes another listener while the bus is
   // dispatching — this used to require a defensive copy of the listener

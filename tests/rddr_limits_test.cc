@@ -131,7 +131,7 @@ TEST_F(LimitsTest, OutgoingUnitTimeoutCatchesSilentInstance) {
   cfg.group_size = 2;
   cfg.plugin = std::make_shared<TcpLinePlugin>();
   cfg.unit_timeout = sim::kSecond;
-  DivergenceBus bus(simulator);
+  DivergenceBus bus;
   OutgoingProxy proxy(net, host, cfg, &bus);
 
   auto talkative = net.connect("merge:1", {.source = "i0", .flow = {.label = "f"}});
@@ -155,7 +155,7 @@ TEST_F(LimitsTest, OutgoingUnitTimeoutOffHangsForever) {
   cfg.group_size = 2;
   cfg.plugin = std::make_shared<TcpLinePlugin>();
   cfg.unit_timeout = 0;  // the paper's default
-  DivergenceBus bus(simulator);
+  DivergenceBus bus;
   OutgoingProxy proxy(net, host, cfg, &bus);
 
   auto talkative = net.connect("merge:1", {.source = "i0", .flow = {.label = "f"}});
@@ -202,7 +202,7 @@ TEST_F(LimitsTest, InstanceSpecificSecretsAreIncompatible) {
   cfg.listen_address = "svc:80";
   cfg.instance_addresses = {"svc-0:80", "svc-1:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
-  DivergenceBus bus(simulator);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   // The challenge itself already diverges (different codes, no filter

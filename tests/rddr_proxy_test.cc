@@ -48,7 +48,7 @@ TEST_F(ProxyTest, UnanimousResponseForwarded) {
   cfg.listen_address = "svc:80";
   cfg.instance_addresses = {"svc-0:80", "svc-1:80", "svc-2:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   int status = -2;
@@ -75,7 +75,7 @@ TEST_F(ProxyTest, DivergenceBlockedWithInterventionPage) {
   cfg.listen_address = "svc:80";
   cfg.instance_addresses = {"svc-0:80", "svc-1:80", "svc-2:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   int status = -2;
@@ -102,7 +102,7 @@ TEST_F(ProxyTest, InstanceConnectionRefusedIsUnavailabilityNotDivergence) {
   cfg.listen_address = "svc:80";
   cfg.instance_addresses = {"svc-0:80", "svc-1:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   int status = -2;
@@ -375,7 +375,7 @@ TEST_F(ProxyTest, CompressedResponsesDiffedDecoded) {
   cfg.listen_address = "svc:80";
   cfg.instance_addresses = {"svc-0:80", "svc-1:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   http::Request req;
@@ -438,7 +438,7 @@ TEST_F(ProxyTest, OutgoingProxyMergesAgreeingRequests) {
   cfg.backend_address = "backend:5432";
   cfg.group_size = 3;
   cfg.plugin = std::make_shared<PgPlugin>();
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   OutgoingProxy proxy(net, host, cfg, &bus);
 
   // Three "instances" issue the identical query with one flow label.
@@ -475,7 +475,7 @@ TEST_F(ProxyTest, OutgoingProxyCatchesDivergingRequest) {
   cfg.group_size = 3;
   cfg.plugin = std::make_shared<PgPlugin>();
   cfg.filter_pair = true;
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   OutgoingProxy proxy(net, host, cfg, &bus);
 
   std::vector<std::unique_ptr<sqldb::PgClient>> clients;
@@ -507,7 +507,7 @@ TEST_F(ProxyTest, OutgoingProxyGroupWindowCatchesMissingInstance) {
   cfg.group_size = 3;
   cfg.plugin = std::make_shared<PgPlugin>();
   cfg.group_window = 50 * sim::kMillisecond;
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   OutgoingProxy proxy(net, host, cfg, &bus);
 
   // Only two of three instances dial the backend.
@@ -522,7 +522,7 @@ TEST_F(ProxyTest, BusAbortsIncomingSessionsOnOutgoingDivergence) {
   // Incoming proxy guards HTTP instances that each call a backend through
   // the outgoing proxy; when the outgoing proxy reports divergence, the
   // client's session is aborted with the intervention page.
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
 
   IncomingProxy::Config in_cfg;
   in_cfg.listen_address = "svc:80";
@@ -575,7 +575,7 @@ TEST_F(ProxyTest, BusAbortsOutgoingGroupsOnIncomingDivergence) {
   cfg.backend_address = "backend:5432";
   cfg.group_size = 2;
   cfg.plugin = std::make_shared<PgPlugin>();
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   OutgoingProxy proxy(net, host, cfg, &bus);
 
   sqldb::PgClient a(net, "inst-0", "rddr-out:5432", "app", "flow-1");
