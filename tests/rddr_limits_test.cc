@@ -145,6 +145,48 @@ TEST_F(LimitsTest, OutgoingUnitTimeoutCatchesSilentInstance) {
   EXPECT_FALSE(silent->is_open());
 }
 
+TEST_F(LimitsTest, OutgoingUnitTimeoutUnderQuorumDropsSilentMember) {
+  // Under kQuorum the silent member is lost, not the flow: the other two
+  // still agree, so their request is merged and forwarded.
+  Bytes backend_rx;
+  std::vector<sim::ConnPtr> backend_conns;
+  net.listen("backend:1", [&](sim::ConnPtr c) {
+    c->set_on_data([&backend_rx](ByteView d) { backend_rx.append(d); });
+    backend_conns.push_back(std::move(c));
+  });
+  OutgoingProxy::Config cfg;
+  cfg.listen_address = "merge:1";
+  cfg.backend_address = "backend:1";
+  cfg.group_size = 3;
+  cfg.plugin = std::make_shared<TcpLinePlugin>();
+  cfg.unit_timeout = sim::kSecond;
+  cfg.degradation = DegradationPolicy::kQuorum;
+  cfg.instance_sources = {"i0", "i1", "i2"};
+  DivergenceBus bus;
+  OutgoingProxy proxy(net, host, cfg, &bus);
+
+  auto dial = [&](const std::string& source) {
+    sim::ConnectMeta meta;
+    meta.source = source;
+    meta.flow.label = "f";
+    return net.connect("merge:1", meta);
+  };
+  auto a = dial("i0");
+  auto b = dial("i1");
+  auto silent = dial("i2");
+  a->send("query please\n");
+  b->send("query please\n");
+  simulator.run_until(10 * sim::kSecond);
+  EXPECT_EQ(bus.count(), 0u);
+  EXPECT_EQ(proxy.stats().timeouts, 1u);
+  EXPECT_EQ(proxy.stats().instance_unreachable, 1u);
+  EXPECT_EQ(proxy.stats().units_compared, 1u);
+  EXPECT_EQ(proxy.health().state(2), HealthTracker::State::kQuarantined);
+  EXPECT_EQ(backend_rx, "query please\n");
+  EXPECT_TRUE(a->is_open());
+  EXPECT_FALSE(silent->is_open());
+}
+
 TEST_F(LimitsTest, OutgoingUnitTimeoutOffHangsForever) {
   net.listen("backend:1", [](sim::ConnPtr c) {
     c->set_on_data([c](ByteView d) { c->send(d); });

@@ -597,5 +597,120 @@ TEST_F(ProxyTest, BusAbortsOutgoingGroupsOnIncomingDivergence) {
   EXPECT_EQ(net.live_connections("backend"), 0u);
 }
 
+// ---------- Outgoing proxy under kQuorum / kFailOpen ----------
+
+class OutgoingDegradedTest : public ProxyTest {
+ protected:
+  Bytes backend_rx;  // every byte the real backend received
+  std::vector<sim::ConnPtr> backend_conns;
+
+  void SetUp() override {
+    net.listen("backend:1", [this](sim::ConnPtr c) {
+      c->set_on_data([this](ByteView d) { backend_rx.append(d); });
+      backend_conns.push_back(std::move(c));
+    });
+  }
+
+  OutgoingProxy::Config config(DegradationPolicy policy, size_t n) {
+    OutgoingProxy::Config cfg;
+    cfg.listen_address = "merge:1";
+    cfg.backend_address = "backend:1";
+    cfg.group_size = n;
+    cfg.plugin = std::make_shared<TcpLinePlugin>();
+    cfg.degradation = policy;
+    for (size_t i = 0; i < n; ++i)
+      cfg.instance_sources.push_back("i" + std::to_string(i));
+    return cfg;
+  }
+
+  /// Member `i` dials the merge point carrying an inherited edge trace.
+  sim::ConnPtr dial(size_t i, uint64_t trace_id = 0) {
+    sim::ConnectMeta meta;
+    meta.source = "i" + std::to_string(i);
+    meta.flow.label = "f";
+    meta.flow.trace_id = trace_id;
+    return net.connect("merge:1", meta);
+  }
+};
+
+TEST_F(OutgoingDegradedTest, QuorumOutvotesDivergentMember) {
+  DivergenceBus bus;
+  OutgoingProxy proxy(net, host, config(DegradationPolicy::kQuorum, 3), &bus);
+  std::vector<sim::ConnPtr> m;
+  for (size_t i = 0; i < 3; ++i) m.push_back(dial(i, 42));
+  m[0]->send("select 1\n");
+  m[1]->send("select 1\n");
+  m[2]->send("select secret\n");
+  sim.run_until_idle();
+
+  EXPECT_EQ(proxy.stats().quorum_outvotes, 1u);
+  EXPECT_EQ(proxy.stats().divergences, 0u);
+  EXPECT_EQ(proxy.health().state(2), HealthTracker::State::kDead);
+  EXPECT_EQ(proxy.health().state(0), HealthTracker::State::kHealthy);
+  EXPECT_EQ(backend_rx, "select 1\n");  // the majority's unit, once
+  EXPECT_EQ(bus.count(), 0u);            // absorbed, not aborted
+  ASSERT_EQ(bus.records().size(), 1u);
+  EXPECT_EQ(bus.records()[0].verdict, "outvote");
+  EXPECT_EQ(bus.records()[0].proxy, "rddr-out");
+  EXPECT_EQ(bus.records()[0].trace_id, 42u);
+}
+
+TEST_F(OutgoingDegradedTest, QuorumShrunkToOneIntervenesAndAbortsSibling) {
+  DivergenceBus bus;
+  IncomingProxy::Config in_cfg;
+  in_cfg.listen_address = "svc:80";
+  in_cfg.instance_addresses = {"svc-0:80", "svc-1:80"};
+  in_cfg.plugin = std::make_shared<HttpPlugin>();
+  IncomingProxy incoming(net, host, in_cfg, &bus);
+  // Instances that never answer: they are "waiting for the backend".
+  HttpServer::Options o0, o1;
+  o0.address = "svc-0:80";
+  o1.address = "svc-1:80";
+  HttpServer s0(net, host, o0), s1(net, host, o1);
+  auto hang = [](const http::Request&, services::Responder) {};
+  s0.set_handler(hang);
+  s1.set_handler(hang);
+  int status = -2;
+  HttpClient client(net, "client");
+  client.get("svc:80", "/", [&](int s, const http::Response*) { status = s; });
+
+  OutgoingProxy proxy(net, host, config(DegradationPolicy::kQuorum, 2), &bus);
+  std::vector<sim::ConnPtr> m;
+  sim.schedule(5 * sim::kMillisecond, [&] {
+    m.push_back(dial(0));
+    m.push_back(dial(1));
+    m[0]->send("select 1\n");
+    m[1]->close();  // crashed before its request: one member left
+  });
+  sim.run_until_idle();
+
+  EXPECT_EQ(proxy.stats().divergences, 1u);
+  EXPECT_EQ(proxy.stats().instance_unreachable, 1u);
+  ASSERT_EQ(bus.count(), 1u);
+  EXPECT_NE(bus.events()[0].reason.find("quorum lost"), std::string::npos);
+  EXPECT_EQ(backend_rx, "");  // nothing unverified reached the backend
+  EXPECT_EQ(incoming.stats().divergences, 1u);  // sibling session aborted
+  EXPECT_EQ(status, 403);
+}
+
+TEST_F(OutgoingDegradedTest, FailOpenForwardsSoleMemberUncompared) {
+  DivergenceBus bus;
+  OutgoingProxy proxy(net, host, config(DegradationPolicy::kFailOpen, 2),
+                      &bus);
+  auto a = dial(0);
+  auto b = dial(1);
+  a->send("select 1\n");
+  b->close();
+  sim.run_until(10 * sim::kMillisecond);
+  a->send("select 2\n");
+  sim.run_until_idle();
+
+  EXPECT_EQ(proxy.stats().passthrough_sessions, 1u);
+  EXPECT_EQ(proxy.stats().units_compared, 0u);
+  EXPECT_EQ(proxy.stats().divergences, 0u);
+  EXPECT_EQ(backend_rx, "select 1\nselect 2\n");
+  EXPECT_EQ(bus.records().size(), 0u);
+}
+
 }  // namespace
 }  // namespace rddr::core
