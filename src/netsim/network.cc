@@ -159,6 +159,9 @@ void Connection::flush_pending() {
   if (close_pending_ && pending_.empty()) {
     close_delivered_ = true;
     open_ = false;
+    // deliver() drops every later byte, so the data handler can never run
+    // again; release it and whatever it captured (often this connection).
+    on_data_ = nullptr;
     if (on_close_) {
       auto h = std::move(on_close_);
       on_close_ = nullptr;

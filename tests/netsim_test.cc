@@ -176,6 +176,30 @@ TEST_F(NetworkTest, CloseDeliversAfterData) {
   EXPECT_EQ(events[1], "close");
 }
 
+TEST_F(NetworkTest, DataHandlerReleasedOnceCloseDelivered) {
+  // Handlers that capture their own connection form a reference cycle.
+  // Once a half's close is delivered no byte can reach its on_data again,
+  // so the handler (and all it captured) must be released then. Here
+  // both halves close, so each one has the other's close delivered.
+  std::weak_ptr<int> server_watch;
+  net.listen("svc:80", [&server_watch](ConnPtr c) {
+    auto token = std::make_shared<int>(1);
+    server_watch = token;
+    c->set_on_data([token, c](ByteView) { c->close(); });
+  });
+  auto client = net.connect("svc:80");
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> client_watch = token;
+  client->set_on_data([token, client](ByteView) {});
+  client->send("hi");
+  client->close();
+  token.reset();
+  client.reset();
+  sim.run_until_idle();
+  EXPECT_TRUE(client_watch.expired());
+  EXPECT_TRUE(server_watch.expired());
+}
+
 TEST_F(NetworkTest, LatencyIsApplied) {
   net.listen("svc:80", [&](ConnPtr c) { c->set_on_data([](ByteView) {}); });
   Time t_connected = -1;
