@@ -4,27 +4,9 @@ namespace rddr::core {
 
 void ProxyCounters::bind(obs::MetricsRegistry& reg,
                          const std::string& prefix) {
-  sessions = reg.counter(prefix + ".sessions");
-  units_replicated = reg.counter(prefix + ".units_replicated");
-  units_compared = reg.counter(prefix + ".units_compared");
-  divergences = reg.counter(prefix + ".divergences");
-  timeouts = reg.counter(prefix + ".timeouts");
-  idle_sheds = reg.counter(prefix + ".idle_sheds");
-  passthrough_sessions = reg.counter(prefix + ".passthrough_sessions");
-  signature_blocks = reg.counter(prefix + ".signature_blocks");
-  path_blocks = reg.counter(prefix + ".path_blocks");
-  instance_unreachable = reg.counter(prefix + ".instance_unreachable");
-  quarantines = reg.counter(prefix + ".quarantines");
-  reconnects = reg.counter(prefix + ".reconnects");
-  degraded_sessions = reg.counter(prefix + ".degraded_sessions");
-  quorum_outvotes = reg.counter(prefix + ".quorum_outvotes");
-  resyncs = reg.counter(prefix + ".resyncs");
-  replacements = reg.counter(prefix + ".replacements");
-  journal_replayed_requests = reg.counter(prefix + ".journal_replayed_requests");
-  pages_shipped = reg.counter(prefix + ".pages_shipped");
-  wal_bytes_replayed = reg.counter(prefix + ".wal_bytes_replayed");
-  admitted = reg.counter(prefix + ".admitted");
-  shed = reg.counter(prefix + ".shed");
+#define RDDR_BIND(name) name = reg.counter(prefix + "." #name);
+  RDDR_PROXY_COUNTERS(RDDR_BIND)
+#undef RDDR_BIND
   compare_ms = reg.histogram(prefix + ".compare_ms");
   queued_ms = reg.histogram(prefix + ".queued_ms");
 }
@@ -32,27 +14,9 @@ void ProxyCounters::bind(obs::MetricsRegistry& reg,
 ProxyStats ProxyCounters::snapshot() const {
   ProxyStats s;
   if (!sessions) return s;  // never bound (proxy not constructed)
-  s.sessions = sessions->value();
-  s.units_replicated = units_replicated->value();
-  s.units_compared = units_compared->value();
-  s.divergences = divergences->value();
-  s.timeouts = timeouts->value();
-  s.idle_sheds = idle_sheds->value();
-  s.passthrough_sessions = passthrough_sessions->value();
-  s.signature_blocks = signature_blocks->value();
-  s.path_blocks = path_blocks->value();
-  s.instance_unreachable = instance_unreachable->value();
-  s.quarantines = quarantines->value();
-  s.reconnects = reconnects->value();
-  s.degraded_sessions = degraded_sessions->value();
-  s.quorum_outvotes = quorum_outvotes->value();
-  s.resyncs = resyncs->value();
-  s.replacements = replacements->value();
-  s.journal_replayed_requests = journal_replayed_requests->value();
-  s.pages_shipped = pages_shipped->value();
-  s.wal_bytes_replayed = wal_bytes_replayed->value();
-  s.admitted = admitted->value();
-  s.shed = shed->value();
+#define RDDR_READ(name) s.name = name->value();
+  RDDR_PROXY_COUNTERS(RDDR_READ)
+#undef RDDR_READ
   return s;
 }
 

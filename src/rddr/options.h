@@ -108,86 +108,58 @@ struct ProxyOptions {
   AdmissionOptions admission;
 };
 
+/// The one list of proxy counters, in registry order. Each counter is a
+/// `ProxyStats` field and a `ProxyCounters` handle named
+/// "<proxy name>.<counter>".
+#define RDDR_PROXY_COUNTERS(X)                                              \
+  X(sessions)                                                               \
+  X(units_replicated)          /* client->instances units */                \
+  X(units_compared)            /* instance->client comparisons */           \
+  X(divergences)                                                            \
+  X(timeouts)                                                               \
+  X(idle_sheds)                /* sessions shed by the idle read timeout */ \
+  X(passthrough_sessions)                                                   \
+  X(signature_blocks)          /* requests refused by known signature */    \
+  X(path_blocks)               /* sessions refused by path quarantine */    \
+  /* Availability-path counters (fault tolerance, §IV-D limitations): */    \
+  X(instance_unreachable)      /* refused connects / lost instances */      \
+  X(quarantines)               /* instances moved to quarantine */          \
+  X(reconnects)                /* quarantined instances re-admitted */      \
+  X(degraded_sessions)         /* sessions served by < N instances */       \
+  X(quorum_outvotes)           /* divergent minorities outvoted */          \
+  /* Recovery-path counters (instance replacement + resync): */             \
+  X(resyncs)                   /* state transfers started */                \
+  X(replacements)              /* instances swapped for fresh replicas */   \
+  X(journal_replayed_requests) /* units replayed after transfer */          \
+  X(pages_shipped)             /* dirty pages in incremental resyncs */     \
+  X(wal_bytes_replayed)        /* WAL tail bytes in incremental resyncs */  \
+  /* Front-tier counters (zero unless a Frontier fronts the proxies): */    \
+  X(admitted)                  /* connections passed admission control */   \
+  X(shed)                      /* connections rejected by the front tier */
+
 /// Element-wise counter snapshot of one proxy (or, via
-/// NVersionDeployment::aggregate_stats, a whole deployment). Kept as the
-/// stable stats API; values are read out of the metrics registry.
+/// NVersionDeployment::aggregate_stats, a whole deployment), read out of
+/// the metrics registry.
 struct ProxyStats {
-  uint64_t sessions = 0;
-  uint64_t units_replicated = 0;  // client->instances units
-  uint64_t units_compared = 0;    // instance->client comparisons
-  uint64_t divergences = 0;
-  uint64_t timeouts = 0;
-  uint64_t idle_sheds = 0;  // sessions shed by the idle read timeout
-  uint64_t passthrough_sessions = 0;
-  uint64_t signature_blocks = 0;  // requests refused by known signature
-  uint64_t path_blocks = 0;       // sessions refused by path quarantine
-  // Availability-path counters (fault tolerance, §IV-D limitations):
-  uint64_t instance_unreachable = 0;  // refused connects / lost instances
-  uint64_t quarantines = 0;           // instances moved to quarantine
-  uint64_t reconnects = 0;            // quarantined instances re-admitted
-  uint64_t degraded_sessions = 0;     // sessions served by < N instances
-  uint64_t quorum_outvotes = 0;       // divergent minorities outvoted
-  // Recovery-path counters (instance replacement + resync):
-  uint64_t resyncs = 0;               // state transfers started
-  uint64_t replacements = 0;          // instances swapped for fresh replicas
-  uint64_t journal_replayed_requests = 0;  // units replayed after transfer
-  uint64_t pages_shipped = 0;         // dirty pages in incremental resyncs
-  uint64_t wal_bytes_replayed = 0;    // WAL tail bytes in incremental resyncs
-  // Front-tier counters (zero unless a Frontier fronts the proxies):
-  uint64_t admitted = 0;  // connections passed through admission control
-  uint64_t shed = 0;      // connections rejected by the front tier
+#define RDDR_STATS_FIELD(name) uint64_t name = 0;
+  RDDR_PROXY_COUNTERS(RDDR_STATS_FIELD)
+#undef RDDR_STATS_FIELD
 
   ProxyStats& operator+=(const ProxyStats& o) {
-    sessions += o.sessions;
-    units_replicated += o.units_replicated;
-    units_compared += o.units_compared;
-    divergences += o.divergences;
-    timeouts += o.timeouts;
-    idle_sheds += o.idle_sheds;
-    passthrough_sessions += o.passthrough_sessions;
-    signature_blocks += o.signature_blocks;
-    path_blocks += o.path_blocks;
-    instance_unreachable += o.instance_unreachable;
-    quarantines += o.quarantines;
-    reconnects += o.reconnects;
-    degraded_sessions += o.degraded_sessions;
-    quorum_outvotes += o.quorum_outvotes;
-    resyncs += o.resyncs;
-    replacements += o.replacements;
-    journal_replayed_requests += o.journal_replayed_requests;
-    pages_shipped += o.pages_shipped;
-    wal_bytes_replayed += o.wal_bytes_replayed;
-    admitted += o.admitted;
-    shed += o.shed;
+#define RDDR_STATS_ADD(name) name += o.name;
+    RDDR_PROXY_COUNTERS(RDDR_STATS_ADD)
+#undef RDDR_STATS_ADD
     return *this;
   }
 };
 
-/// The registry handles behind one proxy's ProxyStats view, resolved once
-/// at proxy construction under "<name>." so a shared registry keeps the
+/// The registry handles behind one proxy's ProxyStats, resolved once at
+/// proxy construction under "<name>." so a shared registry keeps the
 /// per-proxy series apart. Incrementing is one 64-bit add.
 struct ProxyCounters {
-  obs::Counter* sessions = nullptr;
-  obs::Counter* units_replicated = nullptr;
-  obs::Counter* units_compared = nullptr;
-  obs::Counter* divergences = nullptr;
-  obs::Counter* timeouts = nullptr;
-  obs::Counter* idle_sheds = nullptr;
-  obs::Counter* passthrough_sessions = nullptr;
-  obs::Counter* signature_blocks = nullptr;
-  obs::Counter* path_blocks = nullptr;
-  obs::Counter* instance_unreachable = nullptr;
-  obs::Counter* quarantines = nullptr;
-  obs::Counter* reconnects = nullptr;
-  obs::Counter* degraded_sessions = nullptr;
-  obs::Counter* quorum_outvotes = nullptr;
-  obs::Counter* resyncs = nullptr;
-  obs::Counter* replacements = nullptr;
-  obs::Counter* journal_replayed_requests = nullptr;
-  obs::Counter* pages_shipped = nullptr;
-  obs::Counter* wal_bytes_replayed = nullptr;
-  obs::Counter* admitted = nullptr;
-  obs::Counter* shed = nullptr;
+#define RDDR_COUNTER_HANDLE(name) obs::Counter* name = nullptr;
+  RDDR_PROXY_COUNTERS(RDDR_COUNTER_HANDLE)
+#undef RDDR_COUNTER_HANDLE
   /// Virtual-time cost of each de-noise+diff batch, in milliseconds.
   obs::Histogram* compare_ms = nullptr;
   /// Admission-queue wait of each admitted connection, in milliseconds
