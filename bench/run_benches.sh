@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Perf trajectory harness: builds the default preset and emits
 #   BENCH_simloop.json  — simulator core events/sec, fan-out copy ratio,
-#                         and fig5-driver wall time (vs recorded baselines)
+#                         and fig5-driver wall time
 #   BENCH_hotpaths.json — google-benchmark JSON for the micro hot paths
 #   BENCH_scaleout.json — sharded-frontier sweep (goodput vs offered load,
 #                         shed latency; self-checks exit nonzero)
@@ -66,25 +66,20 @@ SIMLOOP_JSON="$("$BUILD/bench/simloop_throughput")"
 echo "$SIMLOOP_JSON"
 
 # Wall time of the full fig5 driver: the end-to-end number a person feels
-# when regenerating the paper figures. Baseline measured at the seed
-# commit, same build type, same machine class as the other baselines.
+# when regenerating the paper figures. Measured only; compare it against
+# a run of the parent commit on the same box, never a recorded constant.
 echo "== fig5 driver wall time =="
-FIG5_BASELINE_S=3.245
 start=$(date +%s.%N)
 "$BUILD/bench/fig5_throughput_latency" >/dev/null
 end=$(date +%s.%N)
 FIG5_WALL_S=$(awk -v a="$start" -v b="$end" 'BEGIN { printf "%.3f", b - a }')
-FIG5_SPEEDUP=$(awk -v w="$FIG5_WALL_S" -v b="$FIG5_BASELINE_S" \
-    'BEGIN { printf "%.2f", b / w }')
-echo "fig5 driver: ${FIG5_WALL_S}s (baseline ${FIG5_BASELINE_S}s, ${FIG5_SPEEDUP}x)"
+echo "fig5 driver: ${FIG5_WALL_S}s"
 
 cat > "$ROOT/BENCH_simloop.json" <<EOF
 {
   "bench": $SIMLOOP_JSON,
   "fig5_driver": {
-    "wall_s": $FIG5_WALL_S,
-    "baseline_wall_s": $FIG5_BASELINE_S,
-    "speedup": $FIG5_SPEEDUP
+    "wall_s": $FIG5_WALL_S
   }
 }
 EOF

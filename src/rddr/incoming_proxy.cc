@@ -8,29 +8,21 @@
 
 namespace rddr::core {
 
-struct IncomingProxy::Session {
+// Slots are indexed by instance id [0, N); the slot of a dropped or
+// skipped instance holds a null connection and participating=false.
+// MergeFlow::index is the inbound connection's index verbatim for nested
+// hops (the caller's dial frame is the call site), or a fresh root frame
+// (listen site, session id) for originating edge requests; replicated
+// upstream dials carry it unchanged.
+struct IncomingProxy::Session : MergeFlow {
   uint64_t id = 0;
   sim::ConnPtr client;
   std::unique_ptr<StreamFramer> client_framer;
   bool client_passthrough = false;
-
-  // All vectors are indexed by instance id [0, N); a slot of a dropped or
-  // skipped instance holds a null upstream and participating=false.
-  std::vector<sim::ConnPtr> upstreams;
-  std::vector<std::unique_ptr<StreamFramer>> upstream_framers;
-  std::vector<std::deque<Unit>> queues;
-  std::vector<bool> upstream_closed;
-  std::vector<bool> participating;
   // Catch-up connections to readmitted instances that are not part of this
   // session (lazily dialled; responses are discarded, never compared).
   std::vector<sim::ConnPtr> shadows;
 
-  bool busy = false;          // a compare task is on the host
-  bool ended = false;
-  bool degraded = false;      // counted into degraded_sessions once
-  bool failopen = false;      // uncompared passthrough on the sole survivor
-  size_t failopen_idx = 0;
-  uint64_t timeout_event = 0; // pending instance-timeout event id
   uint64_t idle_event = 0;    // pending idle-shed event id
   // Last protocol progress: a completed client unit or a forwarded
   // response. Deliberately NOT raw byte activity — a slowloris sender
@@ -41,24 +33,6 @@ struct IncomingProxy::Session {
   // which mirrors real signature generators.
   uint64_t last_unit_fingerprint = 0;
   bool has_fingerprint = false;
-
-  // Trace context (zero when no tracer is configured).
-  obs::TraceId trace = 0;
-  obs::SpanId root_span = 0;
-  std::vector<obs::SpanId> upstream_spans;
-
-  // Execution index of this session's flow: the inbound connection's index
-  // verbatim for nested hops (the caller's dial frame is the call site), or
-  // a fresh root frame (listen site, session id) for originating edge
-  // requests. Replicated upstream dials carry it unchanged.
-  ExecutionIndex index;
-
-  size_t live() const {
-    size_t n = 0;
-    for (bool p : participating)
-      if (p) ++n;
-    return n;
-  }
 };
 
 IncomingProxy::IncomingProxy(sim::Network& net, sim::Host& host,
@@ -66,50 +40,29 @@ IncomingProxy::IncomingProxy(sim::Network& net, sim::Host& host,
     : net_(net),
       host_(host),
       config_(std::move(config)),
-      bus_(bus),
+      // A sibling proxy (the outgoing one) saw divergence: the client
+      // session must not receive whatever the instances produce next.
+      core_(net, host, config_, bus,
+            [this](const std::string& reason) { abort_all_sessions(reason); }),
       health_([this] {
         HealthTracker::Options h = config_.health;
         h.n_instances = config_.instance_addresses.size();
         return h;
-      }()),
-      engine_(config_.diff) {
-  if (!bus_) {
-    // Bus-less construction keeps the one-sink invariant: the proxy owns a
-    // private bus, so every divergence still flows through AttributionSink.
-    own_bus_ = std::make_unique<DivergenceBus>();
-    bus_ = own_bus_.get();
-  }
-  if (config_.metrics) {
-    metrics_ = config_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  counters_.bind(*metrics_, config_.name);
+      }()) {
   token_state_.n_instances = config_.instance_addresses.size();
   token_state_.delete_tokens_after_use = config_.delete_tokens_after_use;
   probe_events_.assign(config_.instance_addresses.size(), 0);
   dead_events_.assign(config_.instance_addresses.size(), 0);
   resync_.resize(config_.instance_addresses.size());
-  host_.charge_memory(config_.base_memory_bytes);
   if (!config_.listen_address.empty())
     net_.listen(config_.listen_address,
                 [this](sim::ConnPtr c) { on_accept(std::move(c)); });
-  if (bus_) {
-    bus_->subscribe([this](const DivergenceEvent& ev) {
-      // A sibling proxy (the outgoing one) saw divergence: the client
-      // session must not receive whatever the instances produce next.
-      if (ev.proxy != config_.name)
-        abort_all_sessions("sibling proxy reported: " + ev.reason);
-    });
-  }
 }
 
 IncomingProxy::~IncomingProxy() {
   if (!config_.listen_address.empty()) net_.unlisten(config_.listen_address);
-  host_.release_memory(config_.base_memory_bytes);
   for (auto& [id, s] : sessions_) {
-    if (s->timeout_event) net_.simulator().cancel(s->timeout_event);
+    if (s->unit_timeout_event) net_.simulator().cancel(s->unit_timeout_event);
     if (s->idle_event) net_.simulator().cancel(s->idle_event);
   }
   for (uint64_t ev : probe_events_)
@@ -126,16 +79,10 @@ void IncomingProxy::note_units_consumed(uint64_t n) {
   if (config_.on_load_change) config_.on_load_change();
 }
 
-void IncomingProxy::end_session_spans(const std::shared_ptr<Session>& s) {
-  if (!config_.tracer) return;
-  for (obs::SpanId sp : s->upstream_spans) config_.tracer->end(sp);
-  config_.tracer->end(s->root_span);
-}
-
 void IncomingProxy::note_instance_failure(size_t i) {
   if (config_.degradation == DegradationPolicy::kStrict) return;
   if (health_.record_failure(i)) {
-    counters_.quarantines->inc();
+    core_.counters.quarantines->inc();
     RDDR_LOG_WARN("%s: instance %zu (%s) quarantined", config_.name.c_str(),
                   i, config_.instance_addresses[i].c_str());
     // A quarantined instance no longer receives client units, so a live
@@ -184,7 +131,7 @@ void IncomingProxy::schedule_reconnect(size_t i) {
       return;
     }
     health_.readmit(i);
-    counters_.reconnects->inc();
+    core_.counters.reconnects->inc();
     RDDR_LOG_INFO("%s: instance %zu (%s) re-admitted after reconnect",
                   config_.name.c_str(), i,
                   config_.instance_addresses[i].c_str());
@@ -205,7 +152,7 @@ void IncomingProxy::notify_dead(size_t i, const std::string& reason) {
 
 void IncomingProxy::begin_resync(size_t i) {
   if (!health_.begin_resync(i)) return;
-  counters_.resyncs->inc();
+  core_.counters.resyncs->inc();
   ResyncState& rs = resync_[i];
   rs = ResyncState{};
   if (config_.tracer) {
@@ -220,8 +167,8 @@ void IncomingProxy::begin_resync(size_t i) {
     fail_resync(i, "state transfer failed");
     return;
   }
-  counters_.pages_shipped->inc(warmed.pages_shipped);
-  counters_.wal_bytes_replayed->inc(warmed.wal_bytes);
+  core_.counters.pages_shipped->inc(warmed.pages_shipped);
+  core_.counters.wal_bytes_replayed->inc(warmed.wal_bytes);
   rs.active = true;
   rs.bytes = bytes;
   if (config_.tracer) {
@@ -306,7 +253,7 @@ void IncomingProxy::finish_resync(size_t i) {
     ctx.session = &token_state_;
     for (const Unit& u : rs.journal) {
       conn->send(SharedBytes(config_.plugin->rewrite_for_instance(u, i, ctx)));
-      counters_.journal_replayed_requests->inc();
+      core_.counters.journal_replayed_requests->inc();
       ++replayed;
     }
     conn->close();  // graceful: queued bytes are delivered first
@@ -319,7 +266,7 @@ void IncomingProxy::finish_resync(size_t i) {
     rs.span = 0;
   }
   health_.readmit(i);
-  counters_.reconnects->inc();
+  core_.counters.reconnects->inc();
   RDDR_LOG_INFO("%s: instance %zu (%s) resynced and re-admitted (%zu "
                 "journaled units replayed)",
                 config_.name.c_str(), i, config_.instance_addresses[i].c_str(),
@@ -359,7 +306,7 @@ void IncomingProxy::shadow_unit(const std::shared_ptr<Session>& s, size_t i,
     if (!preamble.empty()) sh->send(preamble);
   }
   sh->send(SharedBytes(config_.plugin->rewrite_for_instance(u, i, ctx)));
-  counters_.journal_replayed_requests->inc();
+  core_.counters.journal_replayed_requests->inc();
 }
 
 void IncomingProxy::replace_instance(size_t i,
@@ -392,7 +339,7 @@ void IncomingProxy::replace_instance(size_t i,
   }
   config_.instance_addresses[i] = new_address;
   health_.reset_replaced(i);
-  counters_.replacements->inc();
+  core_.counters.replacements->inc();
   RDDR_LOG_INFO("%s: instance %zu replaced; now %s (quarantined until "
                 "probe + resync)",
                 config_.name.c_str(), i, new_address.c_str());
@@ -409,7 +356,7 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
     auto it = path_strikes_.find(conn->flow().index.leaf_site());
     if (it != path_strikes_.end() &&
         it->second >= config_.path_quarantine_threshold) {
-      counters_.path_blocks->inc();
+      core_.counters.path_blocks->inc();
       RDDR_LOG_INFO("%s: refusing session from quarantined call path %s",
                     config_.name.c_str(),
                     conn->flow().index.describe().c_str());
@@ -423,7 +370,7 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
   s->id = next_session_id_++;
   s->client = std::move(conn);
   s->client_framer = config_.plugin->make_framer(Direction::kClientToServer);
-  counters_.sessions->inc();
+  core_.counters.sessions->inc();
 
   // Execution index: nested hops keep the caller's index (its leaf frame
   // is the call site that dialed this edge); an originating edge request
@@ -453,11 +400,11 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
   const size_t n = config_.instance_addresses.size();
   const bool strict = config_.degradation == DegradationPolicy::kStrict;
   s->queues.resize(n);
-  s->upstream_closed.resize(n, false);
+  s->closed.resize(n, false);
   s->participating.assign(n, false);
-  s->upstreams.resize(n);
-  s->upstream_framers.resize(n);
-  s->upstream_spans.assign(n, 0);
+  s->conns.resize(n);
+  s->framers.resize(n);
+  s->spans.assign(n, 0);
   s->shadows.resize(n);
   for (size_t i = 0; i < n; ++i) {
     if (!strict && !health_.is_healthy(i)) continue;  // quarantined: skip
@@ -476,34 +423,34 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
       RDDR_LOG_WARN("%s: instance %zu (%s) refused connection",
                     config_.name.c_str(), i,
                     config_.instance_addresses[i].c_str());
-      counters_.instance_unreachable->inc();
+      core_.counters.instance_unreachable->inc();
       if (strict) {
         // Unavailability is not an attack: refuse the client without a
         // divergence count or bus report, and tear down the upstream
         // connections already opened for lower indices (these leaked
         // before).
         for (size_t j = 0; j < i; ++j)
-          if (s->upstreams[j] && s->upstreams[j]->is_open())
-            s->upstreams[j]->close();
+          if (s->conns[j] && s->conns[j]->is_open())
+            s->conns[j]->close();
         Bytes page = config_.plugin->intervention_response();
         if (!page.empty() && s->client->is_open()) s->client->send(page);
         if (s->client->is_open()) s->client->close();
         if (tracer) tracer->tag(s->root_span, "refused", "instance unreachable");
-        end_session_spans(s);
+        core_.end_spans(*s);
         return;
       }
       note_instance_failure(i);
       continue;
     }
-    s->upstreams[i] = up;
-    s->upstream_framers[i] =
+    s->conns[i] = up;
+    s->framers[i] =
         config_.plugin->make_framer(Direction::kServerToClient);
     s->participating[i] = true;
     if (tracer) {
-      s->upstream_spans[i] =
+      s->spans[i] =
           tracer->begin(s->trace, s->root_span, "upstream", config_.name);
-      tracer->tag(s->upstream_spans[i], "instance", strformat("%zu", i));
-      tracer->tag(s->upstream_spans[i], "address",
+      tracer->tag(s->spans[i], "instance", strformat("%zu", i));
+      tracer->tag(s->spans[i], "address",
                   config_.instance_addresses[i]);
     }
   }
@@ -511,19 +458,19 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
   const size_t live = s->live();
   if (live < n) {
     s->degraded = true;
-    counters_.degraded_sessions->inc();
+    core_.counters.degraded_sessions->inc();
   }
   const bool failopen_ok = config_.degradation == DegradationPolicy::kFailOpen;
   if (live == 0 || (live == 1 && !failopen_ok)) {
     // Nothing to serve (or a single instance we are not allowed to trust
     // unverified): refuse the client. Not a divergence.
-    for (auto& up : s->upstreams)
+    for (auto& up : s->conns)
       if (up && up->is_open()) up->close();
     Bytes page = config_.plugin->intervention_response();
     if (!page.empty() && s->client->is_open()) s->client->send(page);
     if (s->client->is_open()) s->client->close();
     if (tracer) tracer->tag(s->root_span, "refused", "too few healthy instances");
-    end_session_spans(s);
+    core_.end_spans(*s);
     return;
   }
 
@@ -545,7 +492,7 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
     if (s->client_passthrough) {
       // Wrap once; all N upstreams share the buffer.
       SharedBytes shared{data};
-      for (auto& up : s->upstreams)
+      for (auto& up : s->conns)
         if (up && up->is_open()) up->send(shared);
       return;
     }
@@ -555,9 +502,9 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
       // back to raw replication so the instances decide (their responses
       // are still diffed).
       s->client_passthrough = true;
-      counters_.passthrough_sessions->inc();
+      core_.counters.passthrough_sessions->inc();
       SharedBytes rest{Bytes(s->client_framer->unconsumed())};
-      for (auto& up : s->upstreams)
+      for (auto& up : s->conns)
         if (up && up->is_open()) up->send(rest);
       return;
     }
@@ -574,7 +521,7 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
             hit->second >= config_.signature_threshold) {
           // Known-bad input: refuse at the proxy; the instances never see
           // the request (the §IV-D repeated-divergence DoS mitigation).
-          counters_.signature_blocks->inc();
+          core_.counters.signature_blocks->inc();
           RDDR_LOG_INFO("%s: refused request matching divergence signature",
                         config_.name.c_str());
           if (config_.tracer) {
@@ -590,7 +537,7 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
         s->last_unit_fingerprint = fp;
         s->has_fingerprint = true;
       }
-      counters_.units_replicated->inc();
+      core_.counters.units_replicated->inc();
       if (config_.tracer) {
         obs::SpanId ev = config_.tracer->event(s->trace, s->root_span,
                                                "replicate", config_.name);
@@ -603,12 +550,12 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
       const bool identity = config_.plugin->rewrites_identity();
       SharedBytes shared;
       if (identity) shared = SharedBytes(Bytes(u.data));
-      for (size_t i = 0; i < s->upstreams.size(); ++i) {
-        if (s->participating[i] && s->upstreams[i]) {
+      for (size_t i = 0; i < s->conns.size(); ++i) {
+        if (s->participating[i] && s->conns[i]) {
           if (identity) {
-            s->upstreams[i]->send(shared);
+            s->conns[i]->send(shared);
           } else {
-            s->upstreams[i]->send(
+            s->conns[i]->send(
                 SharedBytes(config_.plugin->rewrite_for_instance(u, i, ctx)));
           }
           continue;
@@ -636,7 +583,7 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
 
 void IncomingProxy::attach_upstream(const std::shared_ptr<Session>& s,
                                     size_t i) {
-  auto up = s->upstreams[i];
+  auto up = s->conns[i];
   up->set_on_data([this, s, i](ByteView data) {
     if (s->ended || !s->participating[i]) return;
     if (s->failopen) {
@@ -644,7 +591,7 @@ void IncomingProxy::attach_upstream(const std::shared_ptr<Session>& s,
       if (s->client->is_open()) s->client->send(data);
       return;
     }
-    auto& framer = *s->upstream_framers[i];
+    auto& framer = *s->framers[i];
     framer.feed(data);
     if (framer.failed()) {
       if (config_.degradation == DegradationPolicy::kStrict) {
@@ -663,7 +610,7 @@ void IncomingProxy::attach_upstream(const std::shared_ptr<Session>& s,
   });
   up->set_on_close([this, s, i] {
     if (s->ended || !s->participating[i]) return;
-    s->upstream_closed[i] = true;
+    s->closed[i] = true;
     if (s->failopen) {
       // The sole surviving instance is gone: nothing left to serve.
       teardown(s);
@@ -677,9 +624,8 @@ void IncomingProxy::attach_upstream(const std::shared_ptr<Session>& s,
 void IncomingProxy::enter_failopen(const std::shared_ptr<Session>& s,
                                    size_t sole) {
   s->failopen = true;
-  s->failopen_idx = sole;
   s->client_passthrough = true;
-  counters_.passthrough_sessions->inc();
+  core_.counters.passthrough_sessions->inc();
   if (config_.tracer) config_.tracer->tag(s->root_span, "failopen",
                                           strformat("instance %zu", sole));
   RDDR_LOG_WARN("%s: session %llu FAIL-OPEN: forwarding instance %zu "
@@ -692,13 +638,13 @@ void IncomingProxy::enter_failopen(const std::shared_ptr<Session>& s,
     if (s->client->is_open()) s->client->send(u.data);
   note_units_consumed(s->queues[sole].size());
   s->queues[sole].clear();
-  if (s->upstream_framers[sole]) {
-    Bytes rest = s->upstream_framers[sole]->unconsumed();
+  if (s->framers[sole]) {
+    Bytes rest = s->framers[sole]->unconsumed();
     if (!rest.empty() && s->client->is_open()) s->client->send(rest);
   }
-  if (s->timeout_event) {
-    net_.simulator().cancel(s->timeout_event);
-    s->timeout_event = 0;
+  if (s->unit_timeout_event) {
+    net_.simulator().cancel(s->unit_timeout_event);
+    s->unit_timeout_event = 0;
   }
 }
 
@@ -709,19 +655,10 @@ bool IncomingProxy::drop_instance(const std::shared_ptr<Session>& s, size_t i,
   RDDR_LOG_WARN("%s: session %llu: dropping instance %zu (%s)",
                 config_.name.c_str(),
                 static_cast<unsigned long long>(s->id), i, why.c_str());
-  s->participating[i] = false;
-  if (s->upstreams[i] && s->upstreams[i]->is_open()) s->upstreams[i]->close();
-  s->upstreams[i] = nullptr;
-  note_units_consumed(s->queues[i].size());
-  s->queues[i].clear();
-  if (config_.tracer && s->upstream_spans[i]) {
-    config_.tracer->tag(s->upstream_spans[i], "dropped", why);
-    config_.tracer->end(s->upstream_spans[i]);
-  }
-  if (!s->degraded) {
-    s->degraded = true;
-    counters_.degraded_sessions->inc();
-  }
+  const size_t queued = s->queues[i].size();
+  core_.drop_slot(*s, i, why);
+  s->conns[i] = nullptr;
+  note_units_consumed(queued);
   const size_t live = s->live();
   if (live >= 2) return true;
   if (live == 1 && config_.degradation == DegradationPolicy::kFailOpen) {
@@ -741,214 +678,89 @@ bool IncomingProxy::drop_instance(const std::shared_ptr<Session>& s, size_t i,
 }
 
 void IncomingProxy::arm_timeout(const std::shared_ptr<Session>& s) {
-  if (config_.unit_timeout <= 0 || s->ended || s->failopen) return;
-  bool some = false, all = true;
-  for (size_t i = 0; i < s->queues.size(); ++i) {
-    if (!s->participating[i]) continue;
-    if (s->queues[i].empty()) all = false;
-    else some = true;
-  }
-  if (some && !all && !s->timeout_event) {
-    s->timeout_event = net_.simulator().schedule(
-        config_.unit_timeout, [this, s] {
-          s->timeout_event = 0;
-          if (s->ended || s->failopen) return;
-          std::vector<size_t> silent;
-          bool have_output = false;
-          for (size_t i = 0; i < s->queues.size(); ++i) {
-            if (!s->participating[i]) continue;
-            if (s->queues[i].empty()) silent.push_back(i);
-            else have_output = true;
-          }
-          if (silent.empty() || !have_output) return;
-          counters_.timeouts->inc();
-          if (config_.degradation == DegradationPolicy::kStrict) {
-            intervene(s, "instance response timeout");
-            return;
-          }
-          // Non-strict: the silent instances are lost, not the session.
-          for (size_t i : silent) {
-            counters_.instance_unreachable->inc();
-            note_instance_failure(i);
-            if (!drop_instance(s, i, "response timeout")) return;
-          }
-          pump(s);
-        });
-  }
+  core_.arm_unit_timeout(s, [this](const std::shared_ptr<Session>& flow,
+                                   const std::vector<size_t>& silent) {
+    if (config_.degradation == DegradationPolicy::kStrict) {
+      intervene(flow, "instance response timeout");
+      return;
+    }
+    // Non-strict: the silent instances are lost, not the session.
+    for (size_t i : silent) {
+      core_.counters.instance_unreachable->inc();
+      note_instance_failure(i);
+      if (!drop_instance(flow, i, "response timeout")) return;
+    }
+    pump(flow);
+  });
 }
 
 void IncomingProxy::pump(const std::shared_ptr<Session>& s) {
   if (s->busy || s->ended || s->failopen) return;
-  const bool strict = config_.degradation == DegradationPolicy::kStrict;
-
-  bool rescan = true;
-  while (rescan) {
-    rescan = false;
-    for (size_t i = 0; i < s->queues.size(); ++i) {
-      if (!s->participating[i] || !s->queues[i].empty()) continue;
-      if (!s->upstream_closed[i]) continue;
-      // This instance is gone. If a peer has produced output, the
-      // deployment has diverged (strict) or the instance crashed mid-unit
-      // (degraded); if nobody has anything pending, the close is a normal
-      // end-of-session — propagate it once everyone closed.
-      bool peer_has_output = false;
-      for (size_t j = 0; j < s->queues.size(); ++j)
-        if (s->participating[j] && !s->queues[j].empty())
-          peer_has_output = true;
-      if (peer_has_output) {
-        if (strict) {
-          intervene(s,
-                    strformat("instance %zu closed while peers responded", i));
-          return;
-        }
-        counters_.instance_unreachable->inc();
-        note_instance_failure(i);
-        if (!drop_instance(s, i, "closed while peers responded")) return;
-        rescan = true;
-        break;
-      }
-      bool all_closed = true;
-      for (size_t j = 0; j < s->queues.size(); ++j)
-        if (s->participating[j] && !s->upstream_closed[j]) all_closed = false;
-      if (all_closed) teardown(s);
+  // An instance is gone. If a peer has produced output, the deployment
+  // has diverged (strict) or the instance crashed mid-unit (degraded); if
+  // nobody has anything pending, the close is a normal end-of-session —
+  // propagate it once everyone closed.
+  for (size_t i; (i = s->closed_slot()) != SIZE_MAX;) {
+    if (!s->any_ready()) {
+      if (s->all_closed()) teardown(s);
       return;
     }
-  }
-
-  bool all_ready = true;
-  for (size_t i = 0; i < s->queues.size(); ++i)
-    if (s->participating[i] && s->queues[i].empty()) all_ready = false;
-  if (!all_ready) return;
-
-  if (s->timeout_event) {
-    net_.simulator().cancel(s->timeout_event);
-    s->timeout_event = 0;
-  }
-
-  auto units = std::make_shared<std::vector<Unit>>();
-  std::vector<size_t> idxmap;  // unit position -> instance id
-  size_t bytes = 0;
-  for (size_t i = 0; i < s->queues.size(); ++i) {
-    if (!s->participating[i]) continue;
-    bytes += s->queues[i].front().data.size();
-    units->push_back(std::move(s->queues[i].front()));
-    s->queues[i].pop_front();
-    idxmap.push_back(i);
-  }
-  note_units_consumed(idxmap.size());
-  s->busy = true;
-  obs::SpanId diff_span = 0;
-  const sim::Time diff_start = net_.simulator().now();
-  if (config_.tracer) {
-    diff_span =
-        config_.tracer->begin(s->trace, s->root_span, "diff", config_.name);
-    config_.tracer->tag(diff_span, "instances",
-                        strformat("%zu", idxmap.size()));
-  }
-  double cost = config_.cpu_per_unit +
-                static_cast<double>(bytes) * config_.cpu_per_byte;
-  host_.run_task(cost, [this, s, units, idxmap = std::move(idxmap), diff_span,
-                        diff_start] {
-    s->busy = false;
-    counters_.compare_ms->observe(
-        static_cast<double>(net_.simulator().now() - diff_start) / 1e6);
-    obs::Tracer* tracer = config_.tracer;
-    if (tracer) {
-      // The de-noise pass runs inside the plugin's compare; a marker span
-      // keeps it visible in the taxonomy.
-      obs::SpanId dn = tracer->event(s->trace, diff_span, "denoise",
-                                     config_.name);
-      tracer->tag(dn, "filter_pair", config_.filter_pair ? "true" : "false");
-    }
-    if (s->ended) {
-      if (tracer) tracer->end(diff_span);
-      return;
-    }
-    counters_.units_compared->inc();
-    const size_t n = config_.instance_addresses.size();
-    CompareContext ctx;
-    // The de-noise mask needs the filter pair in slots 0/1; a degraded
-    // group may have lost one of them.
-    ctx.filter_pair = config_.filter_pair && idxmap.size() >= 2 &&
-                      idxmap[0] == 0 && idxmap[1] == 1;
-    ctx.variance = &config_.variance;
-    // Token harvesting assumes per-instance vectors of length N; skip it
-    // for degraded groups (pre-harvested tokens still rewrite fine).
-    ctx.session = idxmap.size() == n ? &token_state_ : nullptr;
-
-    auto verdict = [&](const char* v) -> obs::SpanId {
-      if (!tracer) return 0;
-      obs::SpanId sp = tracer->event(s->trace, diff_span, "verdict",
-                                     config_.name);
-      tracer->tag(sp, "verdict", v);
-      return sp;
-    };
-
-    Bytes fwd;
     if (config_.degradation == DegradationPolicy::kStrict) {
-      BatchVerdict outcome =
-          engine_.compare(*config_.plugin, *units, ctx, VoteMode::kStrict);
-      if (!outcome.agreed) {
-        obs::SpanId sp = verdict("divergent");
-        if (tracer) {
-          tracer->tag(sp, "reason", outcome.reason);
-          tracer->end(diff_span);
-        }
-        intervene(s, outcome.reason, &outcome, units.get());
-        return;
-      }
-      verdict("agree");
-      fwd = engine_.forward_downstream(*config_.plugin, *units, ctx);
-    } else {
-      BatchVerdict vote =
-          engine_.compare(*config_.plugin, *units, ctx, VoteMode::kQuorum);
-      if (!vote.agreed) {
-        obs::SpanId sp = verdict("divergent");
-        if (tracer) {
-          tracer->tag(sp, "reason", vote.reason);
-          tracer->end(diff_span);
-        }
-        intervene(s, vote.reason, &vote, units.get());
-        return;
-      }
-      if (vote.outlier != SIZE_MAX) {
-        size_t inst = idxmap[vote.outlier];
-        counters_.quorum_outvotes->inc();
-        record_divergence("outvote", vote.reason, &vote, units.get(), s.get());
-        obs::SpanId sp = verdict("outvoted");
-        if (tracer)
-          tracer->tag(sp, "outvoted_instance", strformat("%zu", inst));
-        RDDR_LOG_WARN("%s: session %llu: instance %zu outvoted by quorum "
-                      "(%zu-of-%zu agree); quarantining it",
-                      config_.name.c_str(),
-                      static_cast<unsigned long long>(s->id), inst,
-                      units->size() - 1, units->size());
-        if (health_.quarantine(inst)) counters_.quarantines->inc();
-        // A divergent answer is evidence of compromise, not transient
-        // unavailability: no automatic re-admission (probes only test
-        // reachability, which an outvoted instance still has). With an
-        // orchestrator attached, on_instance_dead replaces the replica.
-        notify_dead(inst, "outvoted by quorum");
-        units->erase(units->begin() +
-                     static_cast<std::ptrdiff_t>(vote.outlier));
-        ctx.filter_pair = ctx.filter_pair && vote.outlier > 1;
-        ctx.session = nullptr;  // degraded group: see above
-        if (!drop_instance(s, inst, "outvoted by quorum")) {
-          if (tracer) tracer->end(diff_span);
-          return;
-        }
-      } else {
-        for (size_t i : idxmap) health_.record_success(i);
-        verdict("agree");
-      }
-      fwd = engine_.forward_downstream(*config_.plugin, *units, ctx);
+      intervene(s, strformat("instance %zu closed while peers responded", i));
+      return;
     }
-    if (tracer) tracer->end(diff_span);
-    s->last_progress = net_.simulator().now();
-    if (s->client->is_open()) s->client->send(SharedBytes(std::move(fwd)));
-    pump(s);
-    arm_timeout(s);
-  });
+    core_.counters.instance_unreachable->inc();
+    note_instance_failure(i);
+    if (!drop_instance(s, i, "closed while peers responded")) return;
+  }
+  if (!s->all_ready()) return;
+
+  note_units_consumed(s->live());
+  // Token harvesting assumes per-instance vectors of length N; skip it
+  // for degraded groups (pre-harvested tokens still rewrite fine).
+  SessionState* tokens =
+      s->live() == config_.instance_addresses.size() ? &token_state_ : nullptr;
+  core_.compare(s, tokens, s->trace,
+                [this](const std::shared_ptr<Session>& flow, MergeOutcome& m) {
+                  on_merged(flow, m);
+                });
+}
+
+void IncomingProxy::on_merged(const std::shared_ptr<Session>& s,
+                              MergeOutcome& m) {
+  if (m.kind == MergeOutcome::Kind::kDivergent) {
+    intervene(s, m.verdict.reason, &m.verdict, &m.units);
+    return;
+  }
+  if (m.kind == MergeOutcome::Kind::kOutvoted) {
+    const size_t inst = m.outvoted;
+    RDDR_LOG_WARN("%s: session %llu: instance %zu outvoted by quorum "
+                  "(%zu-of-%zu agree); quarantining it",
+                  config_.name.c_str(), static_cast<unsigned long long>(s->id),
+                  inst, m.units.size() - 1, m.units.size());
+    if (health_.quarantine(inst)) core_.counters.quarantines->inc();
+    // A divergent answer is evidence of compromise, not transient
+    // unavailability: no automatic re-admission (probes only test
+    // reachability, which an outvoted instance still has). With an
+    // orchestrator attached, on_instance_dead replaces the replica.
+    notify_dead(inst, "outvoted by quorum");
+    m.units.erase(m.units.begin() +
+                  static_cast<std::ptrdiff_t>(m.verdict.outlier));
+    m.ctx.filter_pair = m.ctx.filter_pair && m.verdict.outlier > 1;
+    m.ctx.session = nullptr;  // degraded group: see pump
+    if (!drop_instance(s, inst, "outvoted by quorum")) {
+      core_.end_diff(m);
+      return;
+    }
+  } else {
+    for (size_t i : m.slots) health_.record_success(i);
+  }
+  Bytes fwd = core_.engine.forward_downstream(*config_.plugin, m.units, m.ctx);
+  core_.end_diff(m);
+  s->last_progress = net_.simulator().now();
+  if (s->client->is_open()) s->client->send(SharedBytes(std::move(fwd)));
+  pump(s);
+  arm_timeout(s);
 }
 
 void IncomingProxy::arm_idle(const std::shared_ptr<Session>& s) {
@@ -963,7 +775,7 @@ void IncomingProxy::arm_idle(const std::shared_ptr<Session>& s) {
       arm_idle(s);  // progress since the last arm; re-check at the new due
       return;
     }
-    counters_.idle_sheds->inc();
+    core_.counters.idle_sheds->inc();
     RDDR_LOG_INFO("%s: session %llu shed: no protocol progress for %lld ns",
                   config_.name.c_str(),
                   static_cast<unsigned long long>(s->id),
@@ -977,42 +789,12 @@ void IncomingProxy::arm_idle(const std::shared_ptr<Session>& s) {
   });
 }
 
-void IncomingProxy::record_divergence(const char* verdict_class,
-                                      const std::string& reason,
-                                      const BatchVerdict* verdict,
-                                      const std::vector<Unit>* units,
-                                      const Session* s) {
-  DivergenceRecord rec;
-  rec.time = net_.simulator().now();
-  rec.proxy = config_.name;
-  rec.protocol = config_.plugin->name();
-  rec.verdict = verdict_class;
-  rec.reason = reason;
-  if (units && !units->empty()) {
-    rec.unit_kind = (*units)[0].kind;
-    rec.unit_data = (*units)[0].data;
-  }
-  if (verdict) {
-    rec.region_line = verdict->region.line;
-    rec.region_offset = verdict->region.offset;
-    rec.region_instance = verdict->region.instance;
-  }
-  if (s) {
-    rec.trace_id = s->trace;
-    rec.index = s->index;
-  }
-  // The one reporting path: the bus logs the record, dedups per callsite,
-  // notifies record subscribers and — for interventions — emits the
-  // cross-proxy abort event.
-  bus_->report(rec);
-}
-
 void IncomingProxy::intervene(const std::shared_ptr<Session>& s,
                               const std::string& reason,
                               const BatchVerdict* verdict,
                               const std::vector<Unit>* units) {
   if (s->ended) return;
-  counters_.divergences->inc();
+  core_.counters.divergences->inc();
   RDDR_LOG_INFO("%s: intervention on session %llu: %s", config_.name.c_str(),
                 static_cast<unsigned long long>(s->id), reason.c_str());
   if (config_.tracer) config_.tracer->tag(s->root_span, "intervention", reason);
@@ -1023,7 +805,8 @@ void IncomingProxy::intervene(const std::shared_ptr<Session>& s,
   if (config_.path_quarantine_threshold > 0 && s->client &&
       !s->client->flow().index.empty())
     ++path_strikes_[s->index.leaf_site()];
-  record_divergence("intervention", reason, verdict, units, s.get());
+  core_.record_divergence("intervention", reason, verdict, units, *s,
+                          s->trace);
   Bytes page = config_.plugin->intervention_response();
   if (!page.empty() && s->client && s->client->is_open())
     s->client->send(page);
@@ -1033,20 +816,20 @@ void IncomingProxy::intervene(const std::shared_ptr<Session>& s,
 void IncomingProxy::teardown(const std::shared_ptr<Session>& s) {
   if (s->ended) return;
   s->ended = true;
-  if (s->timeout_event) {
-    net_.simulator().cancel(s->timeout_event);
-    s->timeout_event = 0;
+  if (s->unit_timeout_event) {
+    net_.simulator().cancel(s->unit_timeout_event);
+    s->unit_timeout_event = 0;
   }
   if (s->idle_event) {
     net_.simulator().cancel(s->idle_event);
     s->idle_event = 0;
   }
   if (s->client && s->client->is_open()) s->client->close();
-  for (auto& up : s->upstreams)
+  for (auto& up : s->conns)
     if (up && up->is_open()) up->close();
   for (auto& sh : s->shadows)
     if (sh && sh->is_open()) sh->close();
-  end_session_spans(s);
+  core_.end_spans(*s);
   sessions_.erase(s->id);
   uint64_t still_queued = 0;
   for (const auto& q : s->queues) still_queued += q.size();
@@ -1061,7 +844,7 @@ void IncomingProxy::abort_all_sessions(const std::string& reason) {
   std::vector<std::shared_ptr<Session>> active;
   for (auto& [id, s] : sessions_) active.push_back(s);
   for (auto& s : active) {
-    counters_.divergences->inc();
+    core_.counters.divergences->inc();
     Bytes page = config_.plugin->intervention_response();
     if (!page.empty() && s->client && s->client->is_open())
       s->client->send(page);

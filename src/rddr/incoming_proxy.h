@@ -29,6 +29,7 @@
 #include "rddr/health.h"
 #include "rddr/options.h"
 #include "rddr/plugin.h"
+#include "rddr/proxy_core.h"
 
 namespace rddr::core {
 
@@ -119,12 +120,12 @@ class IncomingProxy {
   IncomingProxy& operator=(const IncomingProxy&) = delete;
 
   /// Counter snapshot out of the metrics registry (compatibility view).
-  ProxyStats stats() const { return counters_.snapshot(); }
+  ProxyStats stats() const { return core_.counters.snapshot(); }
   const Config& config() const { return config_; }
 
   /// Registry the proxy publishes into (the configured one, else the
   /// proxy-private fallback).
-  obs::MetricsRegistry& metrics() { return *metrics_; }
+  obs::MetricsRegistry& metrics() { return core_.metrics(); }
 
   /// Per-instance health view (quarantine state, for tests/operators).
   const HealthTracker& health() const { return health_; }
@@ -170,6 +171,9 @@ class IncomingProxy {
   void note_units_consumed(uint64_t n);
   void attach_upstream(const std::shared_ptr<Session>& s, size_t i);
   void pump(const std::shared_ptr<Session>& s);
+  /// The incoming reaction to a compared batch: forward the rewritten
+  /// unit to the client, or quarantine an outvoted instance, or intervene.
+  void on_merged(const std::shared_ptr<Session>& s, MergeOutcome& m);
   /// On divergence: count, report the attributed record to the bus,
   /// respond, tear down. `verdict`/`units` carry the diff region
   /// and instance-0 unit into the record when the divergence came from a
@@ -177,12 +181,6 @@ class IncomingProxy {
   void intervene(const std::shared_ptr<Session>& s, const std::string& reason,
                  const BatchVerdict* verdict = nullptr,
                  const std::vector<Unit>* units = nullptr);
-  /// Builds the enriched DivergenceRecord — diff region, instance-0 unit,
-  /// trace id and execution index of `s` — and reports it into the
-  /// AttributionSink (the shared bus, or the proxy-private one).
-  void record_divergence(const char* verdict_class, const std::string& reason,
-                         const BatchVerdict* verdict,
-                         const std::vector<Unit>* units, const Session* s);
   void teardown(const std::shared_ptr<Session>& s);
   void arm_timeout(const std::shared_ptr<Session>& s);
   /// Idle-session read timeout (Config::idle_timeout): re-arming timer
@@ -196,7 +194,6 @@ class IncomingProxy {
   void note_instance_failure(size_t i);
   void schedule_reconnect(size_t i);
   void enter_failopen(const std::shared_ptr<Session>& s, size_t live_idx);
-  void end_session_spans(const std::shared_ptr<Session>& s);
   /// Marks instance i dead and (deferred, on a fresh event) fires the
   /// on_instance_dead hook.
   void notify_dead(size_t i, const std::string& reason);
@@ -218,18 +215,8 @@ class IncomingProxy {
   sim::Network& net_;
   sim::Host& host_;
   Config config_;
-  DivergenceBus* bus_;
-  /// Fallback sink when constructed without a shared bus: every record
-  /// still flows through one AttributionSink.
-  std::unique_ptr<DivergenceBus> own_bus_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // fallback registry
-  obs::MetricsRegistry* metrics_;
-  ProxyCounters counters_;
+  ProxyCore core_;  // after config_, which it reads
   HealthTracker health_;
-  /// Batched N-way diff-and-denoise data plane (configured from
-  /// Config::diff): one engine, one arena, reused across every compare
-  /// this proxy runs.
-  DiffEngine engine_;
   /// Pending reconnect-probe event per instance (0 = none).
   std::vector<uint64_t> probe_events_;
   /// Pending deferred on_instance_dead event per instance (0 = none).

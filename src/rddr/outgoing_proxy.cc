@@ -8,44 +8,20 @@
 
 namespace rddr::core {
 
-struct OutgoingProxy::Group {
+// Slots are members in join order, re-pinned to instance_sources order
+// once the group completes. The tracer roots one trace per flow group
+// (span trees stay stable); the *attribution* context instead rides the
+// members' FlowContext (inherited_trace). MergeFlow::index is the
+// canonical member's call path (member 0 once instance order is pinned,
+// else the first joiner); its leaf frame is the instances' dial toward
+// this edge.
+struct OutgoingProxy::Group : MergeFlow {
   uint64_t id = 0;
   std::string flow_label;
-  std::vector<sim::ConnPtr> members;                       // instance conns
-  std::vector<std::unique_ptr<StreamFramer>> framers;      // per member
-  std::vector<std::deque<Unit>> queues;
-  std::vector<bool> member_closed;
-  std::vector<bool> participating;  // dropped members stay in the vectors
   sim::ConnPtr backend;
   bool complete = false;
-  bool busy = false;
-  bool ended = false;
-  bool degraded = false;   // counted into degraded_sessions once
-  bool failopen = false;   // sole member forwarded uncompared
-  bool pair_ok = false;    // slots 0/1 hold the filter pair
   uint64_t window_event = 0;
-  uint64_t unit_timeout_event = 0;
   SessionState state;  // unused by current plugins upstream, kept uniform
-
-  // Trace context (zero when no tracer is configured). The tracer keeps
-  // rooting one trace per flow group (span trees stay stable); the
-  // *attribution* context instead rides the members' FlowContext — see
-  // `index` below.
-  obs::TraceId trace = 0;
-  obs::SpanId root_span = 0;
-  std::vector<obs::SpanId> member_spans;
-
-  // Execution index of the logical call this group carries: the canonical
-  // member's call path (member 0 once instance order is pinned, else the
-  // first joiner). Leaf frame = the instances' dial toward this edge.
-  ExecutionIndex index;
-
-  size_t live() const {
-    size_t n = 0;
-    for (bool p : participating)
-      if (p) ++n;
-    return n;
-  }
 };
 
 OutgoingProxy::OutgoingProxy(sim::Network& net, sim::Host& host,
@@ -53,42 +29,21 @@ OutgoingProxy::OutgoingProxy(sim::Network& net, sim::Host& host,
     : net_(net),
       host_(host),
       config_(std::move(config)),
-      bus_(bus),
+      // A sibling proxy (the incoming one) saw divergence: whatever the
+      // instances are sending the backend must not go through.
+      core_(net, host, config_, bus,
+            [this](const std::string& reason) { abort_all_sessions(reason); }),
       health_([this] {
         HealthTracker::Options h = config_.health;
         h.n_instances = config_.instance_sources.size();
         return h;
-      }()),
-      engine_(config_.diff) {
-  if (!bus_) {
-    // Bus-less construction keeps the one-sink invariant: the proxy owns a
-    // private bus, so every divergence still flows through AttributionSink.
-    own_bus_ = std::make_unique<DivergenceBus>();
-    bus_ = own_bus_.get();
-  }
-  if (config_.metrics) {
-    metrics_ = config_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  counters_.bind(*metrics_, config_.name);
-  host_.charge_memory(config_.base_memory_bytes);
+      }()) {
   net_.listen(config_.listen_address,
               [this](sim::ConnPtr c) { on_accept(std::move(c)); });
-  if (bus_) {
-    bus_->subscribe([this](const DivergenceEvent& ev) {
-      // A sibling proxy (the incoming one) saw divergence: whatever the
-      // instances are sending the backend must not go through.
-      if (ev.proxy != config_.name)
-        abort_all_sessions("sibling proxy reported: " + ev.reason);
-    });
-  }
 }
 
 OutgoingProxy::~OutgoingProxy() {
   net_.unlisten(config_.listen_address);
-  host_.release_memory(config_.base_memory_bytes);
   for (auto& [id, g] : groups_) {
     if (g->window_event) net_.simulator().cancel(g->window_event);
     if (g->unit_timeout_event) net_.simulator().cancel(g->unit_timeout_event);
@@ -119,7 +74,7 @@ void OutgoingProxy::on_accept(sim::ConnPtr conn) {
     if (si != SIZE_MAX &&
         health_.state(si) == HealthTracker::State::kQuarantined) {
       health_.readmit(si);
-      counters_.reconnects->inc();
+      core_.counters.reconnects->inc();
       RDDR_LOG_INFO("%s: instance source '%s' re-admitted (dialed in)",
                     config_.name.c_str(), conn->meta().source.c_str());
     }
@@ -140,7 +95,7 @@ void OutgoingProxy::on_accept(sim::ConnPtr conn) {
     g->flow_label = label;
     g->index = conn->flow().index;  // refined to member 0's at completion
     groups_[g->id] = g;
-    counters_.sessions->inc();
+    core_.counters.sessions->inc();
     if (config_.tracer) {
       g->trace = config_.tracer->id_stream(config_.name)->next_trace();
       g->root_span =
@@ -154,23 +109,23 @@ void OutgoingProxy::on_accept(sim::ConnPtr conn) {
         });
   }
 
-  size_t idx = g->members.size();
-  g->members.push_back(conn);
+  size_t idx = g->conns.size();
+  g->conns.push_back(conn);
   g->framers.push_back(config_.plugin->make_framer(Direction::kClientToServer));
   g->queues.emplace_back();
-  g->member_closed.push_back(false);
+  g->closed.push_back(false);
   g->participating.push_back(true);
   if (config_.tracer) {
     obs::SpanId sp =
         config_.tracer->begin(g->trace, g->root_span, "upstream", config_.name);
     config_.tracer->tag(sp, "source", conn->meta().source);
-    g->member_spans.push_back(sp);
+    g->spans.push_back(sp);
   } else {
-    g->member_spans.push_back(0);
+    g->spans.push_back(0);
   }
   register_handlers(g, idx);
 
-  if (g->members.size() >= config_.group_size) {
+  if (g->conns.size() >= config_.group_size) {
     complete_group(g);
     return;
   }
@@ -179,16 +134,16 @@ void OutgoingProxy::on_accept(sim::ConnPtr conn) {
   // as complete as this group will get.
   size_t expected = expected_members();
   if (config_.degradation != DegradationPolicy::kStrict &&
-      expected < config_.group_size && g->members.size() >= expected) {
+      expected < config_.group_size && g->conns.size() >= expected) {
     size_t min_needed = config_.degradation == DegradationPolicy::kFailOpen
                             ? size_t{1}
                             : config_.min_group_size;
-    if (g->members.size() >= min_needed) {
+    if (g->conns.size() >= min_needed) {
       g->degraded = true;
-      counters_.degraded_sessions->inc();
-      if (g->members.size() == 1) {
+      core_.counters.degraded_sessions->inc();
+      if (g->conns.size() == 1) {
         g->failopen = true;
-        counters_.passthrough_sessions->inc();
+        core_.counters.passthrough_sessions->inc();
       }
       complete_group(g);
     }
@@ -197,7 +152,7 @@ void OutgoingProxy::on_accept(sim::ConnPtr conn) {
 
 void OutgoingProxy::register_handlers(const std::shared_ptr<Group>& g,
                                       size_t i) {
-  auto conn = g->members[i];
+  auto conn = g->conns[i];
   conn->set_on_data([this, g, i](ByteView data) {
     if (g->ended || !g->participating[i]) return;
     if (g->failopen) {
@@ -219,7 +174,7 @@ void OutgoingProxy::register_handlers(const std::shared_ptr<Group>& g,
   });
   conn->set_on_close([this, g, i] {
     if (g->ended || !g->participating[i]) return;
-    g->member_closed[i] = true;
+    g->closed[i] = true;
     if (g->failopen) {
       // The sole surviving member hung up: the flow is over.
       teardown(g);
@@ -231,15 +186,15 @@ void OutgoingProxy::register_handlers(const std::shared_ptr<Group>& g,
 
 void OutgoingProxy::on_window_expired(const std::shared_ptr<Group>& g) {
   if (g->complete || g->ended) return;
-  counters_.timeouts->inc();
+  core_.counters.timeouts->inc();
   if (config_.degradation == DegradationPolicy::kStrict) {
     intervene(g, strformat("flow '%s': only %zu of %zu instances contacted "
                            "the backend",
-                           g->flow_label.c_str(), g->members.size(),
+                           g->flow_label.c_str(), g->conns.size(),
                            config_.group_size));
     return;
   }
-  size_t joined = g->members.size();
+  size_t joined = g->conns.size();
   size_t min_needed = config_.degradation == DegradationPolicy::kFailOpen
                           ? size_t{1}
                           : config_.min_group_size;
@@ -259,12 +214,12 @@ void OutgoingProxy::on_window_expired(const std::shared_ptr<Group>& g) {
     for (size_t si = 0; si < health_.n_instances(); ++si) {
       if (!health_.is_healthy(si)) continue;
       bool present = false;
-      for (const auto& m : g->members)
+      for (const auto& m : g->conns)
         if (m->meta().source == config_.instance_sources[si]) present = true;
       if (!present) {
-        counters_.instance_unreachable->inc();
+        core_.counters.instance_unreachable->inc();
         if (health_.record_failure(si)) {
-          counters_.quarantines->inc();
+          core_.counters.quarantines->inc();
           RDDR_LOG_WARN("%s: instance source '%s' quarantined (absent)",
                         config_.name.c_str(),
                         config_.instance_sources[si].c_str());
@@ -272,13 +227,13 @@ void OutgoingProxy::on_window_expired(const std::shared_ptr<Group>& g) {
       }
     }
   } else {
-    counters_.instance_unreachable->inc(config_.group_size - joined);
+    core_.counters.instance_unreachable->inc(config_.group_size - joined);
   }
   g->degraded = true;
-  counters_.degraded_sessions->inc();
+  core_.counters.degraded_sessions->inc();
   if (joined == 1) {
     g->failopen = true;
-    counters_.passthrough_sessions->inc();
+    core_.counters.passthrough_sessions->inc();
   }
   complete_group(g);
 }
@@ -294,14 +249,14 @@ void OutgoingProxy::complete_group(const std::shared_ptr<Group>& g) {
   if (!config_.instance_sources.empty()) {
     std::vector<size_t> order;
     for (const auto& want : config_.instance_sources) {
-      for (size_t i = 0; i < g->members.size(); ++i) {
-        if (g->members[i]->meta().source == want) {
+      for (size_t i = 0; i < g->conns.size(); ++i) {
+        if (g->conns[i]->meta().source == want) {
           order.push_back(i);
           break;
         }
       }
     }
-    if (order.size() == g->members.size()) {
+    if (order.size() == g->conns.size()) {
       std::vector<sim::ConnPtr> members;
       std::vector<std::unique_ptr<StreamFramer>> framers;
       std::vector<std::deque<Unit>> queues;
@@ -309,33 +264,33 @@ void OutgoingProxy::complete_group(const std::shared_ptr<Group>& g) {
       std::vector<bool> participating;
       std::vector<obs::SpanId> spans;
       for (size_t i : order) {
-        members.push_back(g->members[i]);
+        members.push_back(g->conns[i]);
         framers.push_back(std::move(g->framers[i]));
         queues.push_back(std::move(g->queues[i]));
-        closed.push_back(g->member_closed[i]);
+        closed.push_back(g->closed[i]);
         participating.push_back(g->participating[i]);
-        spans.push_back(g->member_spans[i]);
+        spans.push_back(g->spans[i]);
       }
       // Re-register handlers with the new slot indices.
-      g->members = std::move(members);
+      g->conns = std::move(members);
       g->framers = std::move(framers);
       g->queues = std::move(queues);
-      g->member_closed = std::move(closed);
+      g->closed = std::move(closed);
       g->participating = std::move(participating);
-      g->member_spans = std::move(spans);
-      for (size_t i = 0; i < g->members.size(); ++i) register_handlers(g, i);
+      g->spans = std::move(spans);
+      for (size_t i = 0; i < g->conns.size(); ++i) register_handlers(g, i);
     }
-    g->pair_ok = g->members.size() >= 2 &&
-                 g->members[0]->meta().source == config_.instance_sources[0] &&
-                 g->members[1]->meta().source == config_.instance_sources[1];
+    g->pair_ok = g->conns.size() >= 2 &&
+                 g->conns[0]->meta().source == config_.instance_sources[0] &&
+                 g->conns[1]->meta().source == config_.instance_sources[1];
   } else {
-    g->pair_ok = g->members.size() == config_.group_size;
+    g->pair_ok = g->conns.size() == config_.group_size;
   }
   // Canonical call path: member 0's (the N replicated dials share the hop
   // chain; only the leaf's dialing node differs, and member 0 is the
   // config-order canonical choice).
-  if (!g->members.empty() && g->members[0])
-    g->index = g->members[0]->flow().index;
+  if (!g->conns.empty() && g->conns[0])
+    g->index = g->conns[0]->flow().index;
 
   sim::ConnectMeta backend_meta;
   backend_meta.source = config_.name;
@@ -354,9 +309,9 @@ void OutgoingProxy::complete_group(const std::shared_ptr<Group>& g) {
   // chunk once and let all N member connections share the buffer.
   g->backend->set_on_data([g](ByteView data) {
     SharedBytes shared{data};
-    for (size_t i = 0; i < g->members.size(); ++i)
-      if (g->participating[i] && g->members[i]->is_open())
-        g->members[i]->send(shared);
+    for (size_t i = 0; i < g->conns.size(); ++i)
+      if (g->participating[i] && g->conns[i]->is_open())
+        g->conns[i]->send(shared);
   });
   g->backend->set_on_close([this, g] {
     if (!g->ended) teardown(g);
@@ -371,7 +326,7 @@ void OutgoingProxy::complete_group(const std::shared_ptr<Group>& g) {
 void OutgoingProxy::enter_failopen(const std::shared_ptr<Group>& g) {
   g->failopen = true;
   size_t sole = SIZE_MAX;
-  for (size_t i = 0; i < g->members.size(); ++i)
+  for (size_t i = 0; i < g->conns.size(); ++i)
     if (g->participating[i]) sole = i;
   if (config_.tracer)
     config_.tracer->tag(g->root_span, "failopen", strformat("slot %zu", sole));
@@ -396,7 +351,7 @@ void OutgoingProxy::enter_failopen(const std::shared_ptr<Group>& g) {
     if (!rest.empty() && g->backend && g->backend->is_open())
       g->backend->send(rest);
   }
-  if (g->member_closed[sole]) teardown(g);
+  if (g->closed[sole]) teardown(g);
 }
 
 bool OutgoingProxy::drop_member(const std::shared_ptr<Group>& g, size_t i,
@@ -405,27 +360,17 @@ bool OutgoingProxy::drop_member(const std::shared_ptr<Group>& g, size_t i,
   if (!g->participating[i]) return true;
   RDDR_LOG_WARN("%s: flow '%s': dropping instance %zu (%s)",
                 config_.name.c_str(), g->flow_label.c_str(), i, why.c_str());
-  g->participating[i] = false;
-  if (g->members[i] && g->members[i]->is_open()) g->members[i]->close();
-  g->queues[i].clear();
-  if (config_.tracer && g->member_spans[i]) {
-    config_.tracer->tag(g->member_spans[i], "dropped", why);
-    config_.tracer->end(g->member_spans[i]);
-  }
-  if (!g->degraded) {
-    g->degraded = true;
-    counters_.degraded_sessions->inc();
-  }
-  size_t si = source_index(g->members[i]->meta().source);
+  core_.drop_slot(*g, i, why);
+  size_t si = source_index(g->conns[i]->meta().source);
   if (si != SIZE_MAX && health_.record_failure(si)) {
-    counters_.quarantines->inc();
+    core_.counters.quarantines->inc();
     RDDR_LOG_WARN("%s: instance source '%s' quarantined", config_.name.c_str(),
                   config_.instance_sources[si].c_str());
   }
   const size_t live = g->live();
   if (live >= 2) return true;
   if (live == 1 && config_.degradation == DegradationPolicy::kFailOpen) {
-    counters_.passthrough_sessions->inc();
+    core_.counters.passthrough_sessions->inc();
     enter_failopen(g);
     return false;  // pump must not compare a fail-open group
   }
@@ -442,229 +387,81 @@ bool OutgoingProxy::drop_member(const std::shared_ptr<Group>& g, size_t i,
 
 void OutgoingProxy::pump(const std::shared_ptr<Group>& g) {
   if (!g->complete || g->busy || g->ended || g->failopen) return;
-  const bool strict = config_.degradation == DegradationPolicy::kStrict;
-
-  bool rescan = true;
-  while (rescan) {
-    rescan = false;
-    for (size_t i = 0; i < g->queues.size(); ++i) {
-      if (!g->participating[i] || !g->queues[i].empty()) continue;
-      if (!g->member_closed[i]) continue;
-      bool peer_has_output = false;
-      for (size_t j = 0; j < g->queues.size(); ++j)
-        if (g->participating[j] && !g->queues[j].empty())
-          peer_has_output = true;
-      if (peer_has_output) {
-        if (strict) {
-          intervene(g, strformat("instance %zu closed while peers kept "
-                                 "sending to the backend",
-                                 i));
-          return;
-        }
-        counters_.instance_unreachable->inc();
-        if (!drop_member(g, i, "closed while peers kept sending")) return;
-        rescan = true;
-        break;
-      }
-      bool all_closed = true;
-      for (size_t j = 0; j < g->member_closed.size(); ++j)
-        if (g->participating[j] && !g->member_closed[j]) all_closed = false;
-      if (all_closed) teardown(g);
+  for (size_t i; (i = g->closed_slot()) != SIZE_MAX;) {
+    if (!g->any_ready()) {
+      if (g->all_closed()) teardown(g);
       return;
     }
+    if (config_.degradation == DegradationPolicy::kStrict) {
+      intervene(g, strformat("instance %zu closed while peers kept "
+                             "sending to the backend",
+                             i));
+      return;
+    }
+    core_.counters.instance_unreachable->inc();
+    if (!drop_member(g, i, "closed while peers kept sending")) return;
   }
-
-  bool all_ready = true;
-  bool any_ready = false;
-  for (size_t i = 0; i < g->queues.size(); ++i) {
-    if (!g->participating[i]) continue;
-    if (g->queues[i].empty()) all_ready = false;
-    else any_ready = true;
-  }
-  if (!all_ready) {
+  if (!g->all_ready()) {
     // Divergence-by-silence guard (§IV-D): some instance has a request
     // pending while a sibling stays quiet.
-    if (any_ready && config_.unit_timeout > 0 && !g->unit_timeout_event) {
-      g->unit_timeout_event =
-          net_.simulator().schedule(config_.unit_timeout, [this, g] {
-            g->unit_timeout_event = 0;
-            if (g->ended || g->failopen) return;
-            std::vector<size_t> silent;
-            bool still_have = false;
-            for (size_t i = 0; i < g->queues.size(); ++i) {
-              if (!g->participating[i]) continue;
-              if (g->queues[i].empty()) silent.push_back(i);
-              else still_have = true;
-            }
-            if (silent.empty() || !still_have) return;
-            counters_.timeouts->inc();
-            if (config_.degradation == DegradationPolicy::kStrict) {
-              intervene(g, "instance request timeout at the backend merge");
-              return;
-            }
-            for (size_t i : silent) {
-              counters_.instance_unreachable->inc();
-              if (!drop_member(g, i, "request timeout")) return;
-            }
-            pump(g);
-          });
-    }
+    core_.arm_unit_timeout(g, [this](const std::shared_ptr<Group>& flow,
+                                     const std::vector<size_t>& silent) {
+      if (config_.degradation == DegradationPolicy::kStrict) {
+        intervene(flow, "instance request timeout at the backend merge");
+        return;
+      }
+      for (size_t i : silent) {
+        core_.counters.instance_unreachable->inc();
+        if (!drop_member(flow, i, "request timeout")) return;
+      }
+      pump(flow);
+    });
     return;
   }
-  if (g->unit_timeout_event) {
-    net_.simulator().cancel(g->unit_timeout_event);
-    g->unit_timeout_event = 0;
-  }
-  auto units = std::make_shared<std::vector<Unit>>();
-  std::vector<size_t> idxmap;  // unit position -> member slot
-  size_t bytes = 0;
-  for (size_t i = 0; i < g->queues.size(); ++i) {
-    if (!g->participating[i]) continue;
-    bytes += g->queues[i].front().data.size();
-    units->push_back(std::move(g->queues[i].front()));
-    g->queues[i].pop_front();
-    idxmap.push_back(i);
-  }
-  g->busy = true;
-  obs::SpanId diff_span = 0;
-  const sim::Time diff_start = net_.simulator().now();
-  if (config_.tracer) {
-    diff_span =
-        config_.tracer->begin(g->trace, g->root_span, "diff", config_.name);
-    config_.tracer->tag(diff_span, "instances",
-                        strformat("%zu", idxmap.size()));
-  }
-  double cost = config_.cpu_per_unit +
-                static_cast<double>(bytes) * config_.cpu_per_byte;
-  host_.run_task(cost, [this, g, units, idxmap = std::move(idxmap), diff_span,
-                        diff_start] {
-    g->busy = false;
-    counters_.compare_ms->observe(
-        static_cast<double>(net_.simulator().now() - diff_start) / 1e6);
-    obs::Tracer* tracer = config_.tracer;
-    if (tracer) {
-      obs::SpanId dn =
-          tracer->event(g->trace, diff_span, "denoise", config_.name);
-      tracer->tag(dn, "filter_pair", config_.filter_pair ? "true" : "false");
-    }
-    if (g->ended) {
-      if (tracer) tracer->end(diff_span);
-      return;
-    }
-    counters_.units_compared->inc();
-    CompareContext ctx;
-    ctx.filter_pair = config_.filter_pair && g->pair_ok &&
-                      idxmap.size() >= 2 && idxmap[0] == 0 && idxmap[1] == 1;
-    ctx.variance = &config_.variance;
-    ctx.session = &g->state;
-    auto verdict = [&](const char* v) -> obs::SpanId {
-      if (!tracer) return 0;
-      obs::SpanId sp =
-          tracer->event(g->trace, diff_span, "verdict", config_.name);
-      tracer->tag(sp, "verdict", v);
-      return sp;
-    };
-    size_t fwd = 0;  // unit position whose bytes reach the backend
-    if (config_.degradation == DegradationPolicy::kStrict) {
-      BatchVerdict outcome =
-          engine_.compare(*config_.plugin, *units, ctx, VoteMode::kStrict);
-      if (!outcome.agreed) {
-        obs::SpanId sp = verdict("divergent");
-        if (tracer) {
-          tracer->tag(sp, "reason", outcome.reason);
-          tracer->end(diff_span);
-        }
-        intervene(g, outcome.reason, &outcome, units.get());
-        return;
-      }
-      verdict("agree");
-    } else {
-      BatchVerdict vote =
-          engine_.compare(*config_.plugin, *units, ctx, VoteMode::kQuorum);
-      if (!vote.agreed) {
-        obs::SpanId sp = verdict("divergent");
-        if (tracer) {
-          tracer->tag(sp, "reason", vote.reason);
-          tracer->end(diff_span);
-        }
-        intervene(g, vote.reason, &vote, units.get());
-        return;
-      }
-      if (vote.outlier != SIZE_MAX) {
-        size_t slot = idxmap[vote.outlier];
-        counters_.quorum_outvotes->inc();
-        record_divergence("outvote", vote.reason, &vote, units.get(), g.get());
-        obs::SpanId sp = verdict("outvoted");
-        if (tracer)
-          tracer->tag(sp, "outvoted_instance", strformat("%zu", slot));
-        RDDR_LOG_WARN("%s: flow '%s': instance %zu outvoted by quorum "
-                      "(%zu-of-%zu agree); dropping it",
-                      config_.name.c_str(), g->flow_label.c_str(), slot,
-                      units->size() - 1, units->size());
-        units->erase(units->begin() +
-                     static_cast<std::ptrdiff_t>(vote.outlier));
-        size_t si = source_index(g->members[slot]->meta().source);
-        bool ok = drop_member(g, slot, "outvoted by quorum");
-        // Divergence is evidence, not unavailability: no re-admission.
-        if (si != SIZE_MAX) health_.mark_dead(si);
-        if (!ok) {
-          if (tracer) tracer->end(diff_span);
-          return;
-        }
-      } else {
-        if (health_.n_instances() > 0) {
-          for (size_t i : idxmap) {
-            size_t si = source_index(g->members[i]->meta().source);
-            if (si != SIZE_MAX) health_.record_success(si);
-          }
-        }
-        verdict("agree");
-      }
-    }
-    if (tracer) tracer->end(diff_span);
-    counters_.units_replicated->inc();
-    if (g->backend && g->backend->is_open())
-      g->backend->send((*units)[fwd].data);
-    pump(g);
-  });
+  core_.compare(g, &g->state, inherited_trace(*g),
+                [this](const std::shared_ptr<Group>& flow, MergeOutcome& m) {
+                  on_merged(flow, m);
+                });
 }
 
-void OutgoingProxy::record_divergence(const char* verdict_class,
-                                      const std::string& reason,
-                                      const BatchVerdict* verdict,
-                                      const std::vector<Unit>* units,
-                                      const Group* g) {
-  DivergenceRecord rec;
-  rec.time = net_.simulator().now();
-  rec.proxy = config_.name;
-  rec.protocol = config_.plugin->name();
-  rec.verdict = verdict_class;
-  rec.reason = reason;
-  if (units && !units->empty()) {
-    rec.unit_kind = (*units)[0].kind;
-    rec.unit_data = (*units)[0].data;
+void OutgoingProxy::on_merged(const std::shared_ptr<Group>& g,
+                              MergeOutcome& m) {
+  if (m.kind == MergeOutcome::Kind::kDivergent) {
+    intervene(g, m.verdict.reason, &m.verdict, &m.units);
+    return;
   }
-  if (verdict) {
-    rec.region_line = verdict->region.line;
-    rec.region_offset = verdict->region.offset;
-    rec.region_instance = verdict->region.instance;
+  if (m.kind == MergeOutcome::Kind::kOutvoted) {
+    const size_t slot = m.outvoted;
+    RDDR_LOG_WARN("%s: flow '%s': instance %zu outvoted by quorum "
+                  "(%zu-of-%zu agree); dropping it",
+                  config_.name.c_str(), g->flow_label.c_str(), slot,
+                  m.units.size() - 1, m.units.size());
+    m.units.erase(m.units.begin() +
+                  static_cast<std::ptrdiff_t>(m.verdict.outlier));
+    size_t si = source_index(g->conns[slot]->meta().source);
+    bool ok = drop_member(g, slot, "outvoted by quorum");
+    // Divergence is evidence, not unavailability: no re-admission.
+    if (si != SIZE_MAX) health_.mark_dead(si);
+    if (!ok) {
+      core_.end_diff(m);
+      return;
+    }
+  } else if (health_.n_instances() > 0) {
+    for (size_t i : m.slots) {
+      size_t si = source_index(g->conns[i]->meta().source);
+      if (si != SIZE_MAX) health_.record_success(si);
+    }
   }
-  if (g) {
-    rec.index = g->index;
-    // Attribution wants the originating edge request's trace when the
-    // members inherited one; the group's locally-rooted trace is the
-    // fallback for unindexed flows.
-    for (const auto& m : g->members)
-      if (m && m->flow().trace_id) {
-        rec.trace_id = m->flow().trace_id;
-        break;
-      }
-    if (!rec.trace_id) rec.trace_id = g->trace;
-  }
-  // The one reporting path: the bus logs the record, dedups per callsite,
-  // notifies record subscribers and — for interventions — emits the
-  // cross-proxy abort event.
-  bus_->report(rec);
+  core_.end_diff(m);
+  core_.counters.units_replicated->inc();
+  if (g->backend && g->backend->is_open()) g->backend->send(m.units[0].data);
+  pump(g);
+}
+
+uint64_t OutgoingProxy::inherited_trace(const Group& g) const {
+  for (const auto& m : g.conns)
+    if (m && m->flow().trace_id) return m->flow().trace_id;
+  return g.trace;
 }
 
 void OutgoingProxy::intervene(const std::shared_ptr<Group>& g,
@@ -672,18 +469,13 @@ void OutgoingProxy::intervene(const std::shared_ptr<Group>& g,
                               const BatchVerdict* verdict,
                               const std::vector<Unit>* units) {
   if (g->ended) return;
-  counters_.divergences->inc();
+  core_.counters.divergences->inc();
   RDDR_LOG_INFO("%s: intervention on flow '%s': %s", config_.name.c_str(),
                 g->flow_label.c_str(), reason.c_str());
   if (config_.tracer) config_.tracer->tag(g->root_span, "intervention", reason);
-  record_divergence("intervention", reason, verdict, units, g.get());
+  core_.record_divergence("intervention", reason, verdict, units, *g,
+                          inherited_trace(*g));
   teardown(g);
-}
-
-void OutgoingProxy::end_group_spans(const std::shared_ptr<Group>& g) {
-  if (!config_.tracer) return;
-  for (obs::SpanId sp : g->member_spans) config_.tracer->end(sp);
-  config_.tracer->end(g->root_span);
 }
 
 void OutgoingProxy::teardown(const std::shared_ptr<Group>& g) {
@@ -697,10 +489,10 @@ void OutgoingProxy::teardown(const std::shared_ptr<Group>& g) {
     net_.simulator().cancel(g->unit_timeout_event);
     g->unit_timeout_event = 0;
   }
-  for (auto& m : g->members)
+  for (auto& m : g->conns)
     if (m && m->is_open()) m->close();
   if (g->backend && g->backend->is_open()) g->backend->close();
-  end_group_spans(g);
+  core_.end_spans(*g);
   groups_.erase(g->id);
 }
 
@@ -709,7 +501,7 @@ void OutgoingProxy::abort_all_sessions(const std::string& reason) {
   std::vector<std::shared_ptr<Group>> active;
   for (auto& [id, g] : groups_) active.push_back(g);
   for (auto& g : active) {
-    counters_.divergences->inc();
+    core_.counters.divergences->inc();
     RDDR_LOG_INFO("%s: aborting flow '%s': %s", config_.name.c_str(),
                   g->flow_label.c_str(), reason.c_str());
     if (config_.tracer)
@@ -722,7 +514,7 @@ void OutgoingProxy::replace_instance(size_t i, const std::string& source_node) {
   if (i < config_.instance_sources.size())
     config_.instance_sources[i] = source_node;
   health_.reset_replaced(i);
-  counters_.replacements->inc();
+  core_.counters.replacements->inc();
   RDDR_LOG_INFO("%s: instance %zu replaced; now dialling in from %s",
                 config_.name.c_str(), i, source_node.c_str());
 }

@@ -28,6 +28,7 @@
 #include "rddr/health.h"
 #include "rddr/options.h"
 #include "rddr/plugin.h"
+#include "rddr/proxy_core.h"
 
 namespace rddr::core {
 
@@ -68,12 +69,12 @@ class OutgoingProxy {
   OutgoingProxy& operator=(const OutgoingProxy&) = delete;
 
   /// Counter snapshot out of the metrics registry (compatibility view).
-  ProxyStats stats() const { return counters_.snapshot(); }
+  ProxyStats stats() const { return core_.counters.snapshot(); }
   const Config& config() const { return config_; }
 
   /// Registry the proxy publishes into (the configured one, else the
   /// proxy-private fallback).
-  obs::MetricsRegistry& metrics() { return *metrics_; }
+  obs::MetricsRegistry& metrics() { return core_.metrics(); }
 
   /// Per-instance health view (meaningful when `instance_sources` is set).
   const HealthTracker& health() const { return health_; }
@@ -95,17 +96,18 @@ class OutgoingProxy {
   void on_window_expired(const std::shared_ptr<Group>& g);
   void complete_group(const std::shared_ptr<Group>& g);
   void pump(const std::shared_ptr<Group>& g);
+  /// The outgoing reaction to a compared batch: send unit 0 to the
+  /// backend, or drop an outvoted member and mark its source dead, or
+  /// intervene.
+  void on_merged(const std::shared_ptr<Group>& g, MergeOutcome& m);
+  /// Trace id a divergence record carries: the originating edge
+  /// request's, inherited by the members, else the group's own.
+  uint64_t inherited_trace(const Group& g) const;
   /// On divergence: count, report the attributed record to the bus, tear
   /// down. `verdict`/`units` enrich the record when available.
   void intervene(const std::shared_ptr<Group>& g, const std::string& reason,
                  const BatchVerdict* verdict = nullptr,
                  const std::vector<Unit>* units = nullptr);
-  /// Builds the enriched DivergenceRecord — diff region, instance-0 unit,
-  /// inherited trace id and the group's execution index — and reports it
-  /// into the AttributionSink (the shared bus, or the proxy-private one).
-  void record_divergence(const char* verdict_class, const std::string& reason,
-                         const BatchVerdict* verdict,
-                         const std::vector<Unit>* units, const Group* g);
   void teardown(const std::shared_ptr<Group>& g);
   /// Removes member i from the group (non-strict policies); returns false
   /// when the group could not continue and was ended.
@@ -116,22 +118,12 @@ class OutgoingProxy {
   /// How many members a new group should wait for: N, minus instances
   /// currently quarantined/dead (non-strict with health tracking only).
   size_t expected_members() const;
-  void end_group_spans(const std::shared_ptr<Group>& g);
 
   sim::Network& net_;
   sim::Host& host_;
   Config config_;
-  DivergenceBus* bus_;
-  /// Fallback sink when constructed without a shared bus: every record
-  /// still flows through one AttributionSink.
-  std::unique_ptr<DivergenceBus> own_bus_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // fallback registry
-  obs::MetricsRegistry* metrics_;
-  ProxyCounters counters_;
+  ProxyCore core_;  // after config_, which it reads
   HealthTracker health_;
-  /// Batched N-way diff-and-denoise data plane (configured from
-  /// Config::diff): one engine, one arena, reused across every compare.
-  DiffEngine engine_;
   uint64_t next_group_id_ = 1;
   std::map<uint64_t, std::shared_ptr<Group>> groups_;
 };
