@@ -120,7 +120,8 @@ void IncomingProxy::schedule_reconnect(size_t i) {
     if (health_.state(i) != HealthTracker::State::kQuarantined) return;
     auto probe = net_.connect(
         config_.instance_addresses[i],
-        {.source = config_.name, .flow = {.label = "health-probe"}});
+        {.source = config_.name,
+         .flow = {.label = "health-probe", .index = {}}});
     if (!probe) {
       schedule_reconnect(i);
       return;

@@ -81,7 +81,7 @@ HttpClient::HttpClient(sim::Network& net, std::string source_name)
 
 void HttpClient::request(const std::string& address, http::Request req,
                          Callback cb) {
-  auto conn = net_.connect(address, {.source = source_});
+  auto conn = net_.connect(address, {.source = source_, .flow = {}});
   if (!conn) {
     cb(-1, nullptr);
     return;

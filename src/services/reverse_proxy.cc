@@ -68,7 +68,8 @@ void ReverseProxy::handle_parsed(const std::shared_ptr<Session>& s) {
       if (!s->backend) {
         s->backend = net_.connect(
             opts_.backend_address,
-            {.source = opts_.instance_name, .flow = {.label = "revproxy"}});
+            {.source = opts_.instance_name,
+             .flow = {.label = "revproxy", .index = {}}});
         if (!s->backend) {
           s->client->send(
               http::make_response(502, "<h1>502 Bad Gateway</h1>").to_bytes());

@@ -16,7 +16,8 @@ TcpProxy::~TcpProxy() {
 void TcpProxy::on_accept(sim::ConnPtr client) {
   auto backend = net_.connect(opts_.backend_address,
                               {.source = opts_.name,
-                               .flow = {.label = client->flow().label}});
+                               .flow = {.label = client->flow().label,
+                                        .index = {}}});
   if (!backend) {
     client->close();
     return;

@@ -8,8 +8,9 @@ PgClient::PgClient(sim::Network& net, std::string source,
                    const std::string& address, const std::string& user,
                    std::string flow_label)
     : PgClient(net, address, user,
-               sim::ConnectMeta{std::move(source),
-                                sim::FlowContext{std::move(flow_label)}}) {}
+               sim::ConnectMeta{.source = std::move(source),
+                                .flow = {.label = std::move(flow_label),
+                                         .index = {}}}) {}
 
 PgClient::PgClient(sim::Network& net, const std::string& address,
                    const std::string& user, sim::ConnectMeta meta) {

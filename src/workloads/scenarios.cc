@@ -103,7 +103,7 @@ struct RawResult {
 
 RawResult do_raw(TestBed& bed, const std::string& address, ByteView payload) {
   RawResult out;
-  auto conn = bed.net.connect(address, {.source = "test-client"});
+  auto conn = bed.net.connect(address, {.source = "test-client", .flow = {}});
   if (!conn) {
     out.closed = true;
     return out;
