@@ -9,7 +9,7 @@
 // on divergence.
 //
 // Observability: counters live in a metrics registry (ProxyCounters;
-// `stats()` is the compatibility snapshot) and, when a Tracer is
+// `stats()` is a snapshot of them) and, when a Tracer is
 // configured, every client session becomes a trace — root "session" span,
 // one "upstream" span per instance, "replicate" markers per request unit
 // and "diff"/"denoise"/"verdict" spans per comparison. Upstream connects
@@ -119,7 +119,7 @@ class IncomingProxy {
   IncomingProxy(const IncomingProxy&) = delete;
   IncomingProxy& operator=(const IncomingProxy&) = delete;
 
-  /// Counter snapshot out of the metrics registry (compatibility view).
+  /// Counter snapshot out of the metrics registry.
   ProxyStats stats() const { return core_.counters.snapshot(); }
   const Config& config() const { return config_; }
 

@@ -1,11 +1,11 @@
 // Shared proxy configuration and the registry-backed stats surface.
 //
-// `ProxyOptions` factors the fields the incoming and outgoing proxies
-// used to duplicate (plugin, variance, degradation policy, health knobs,
-// CPU model, observability sinks); each proxy's `Config` extends it with
-// the fields specific to its direction. `ProxyStats` remains as a plain
-// compatibility view over the registry-backed counters that now do the
-// actual counting (see ProxyCounters).
+// `ProxyOptions` holds the fields both proxies share (plugin, variance,
+// degradation policy, health knobs, CPU model, observability sinks);
+// each proxy's `Config` extends it with the fields of its direction.
+// The counters live in the metrics registry (ProxyCounters); ProxyStats
+// is a snapshot of them. Both are generated from one counter list,
+// RDDR_PROXY_COUNTERS.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +66,7 @@ struct ProxyOptions {
   /// `health.n_instances` is filled by the proxy from its instance list.
   HealthTracker::Options health;
   /// Per-unit wait for lagging instances; 0 (default) disables the
-  /// timeout, reproducing the paper's §IV-D DoS limitation. Canonical
-  /// spelling for what the incoming proxy called `instance_timeout`.
+  /// timeout, reproducing the paper's §IV-D DoS limitation.
   sim::Time unit_timeout = 0;
   /// Idle-session read timeout (incoming proxy): a session that makes no
   /// protocol progress — no completed client unit framed and no response

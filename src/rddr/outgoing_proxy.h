@@ -68,7 +68,7 @@ class OutgoingProxy {
   OutgoingProxy(const OutgoingProxy&) = delete;
   OutgoingProxy& operator=(const OutgoingProxy&) = delete;
 
-  /// Counter snapshot out of the metrics registry (compatibility view).
+  /// Counter snapshot out of the metrics registry.
   ProxyStats stats() const { return core_.counters.snapshot(); }
   const Config& config() const { return config_; }
 
