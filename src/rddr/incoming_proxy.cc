@@ -1,7 +1,6 @@
 #include "rddr/incoming_proxy.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/log.h"
 #include "common/strutil.h"
